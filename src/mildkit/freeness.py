@@ -281,6 +281,16 @@ class GradedQuotient:
     Gaussian elimination on a (sum_i b_{n-sigma_i}) x (sum_j b_{n-tau_j})
     matrix, which stays desk-scale even where the literal spanning set of
     the slice would not.
+
+    All bookkeeping is in integer coordinates.  Per degree n the engine
+    keeps the representative words (letter tuples in length-lex order) and
+    one image table per letter X_j: entry b is the image of beta_b * X_j,
+    beta_b the b-th representative of degree n - tau_j, in the degree-n
+    basis -- a representative index when the word is itself a
+    representative, a {representative index: coefficient} dict when it is
+    a pivot.  A row walks each term of beta * rho_i through these tables,
+    so no word is hashed.  The tables grow lazily, so an instance is not
+    safe to share across threads while it is being extended.
     """
 
     def __init__(self, ctx: Context, rhos, budget=None):
@@ -288,14 +298,16 @@ class GradedQuotient:
         self.rhos = list(rhos)
         self.sigmas = _check_relators(ctx, self.rhos)
         self.budget = budget
-        one = ctx.one_monomial()
-        self._reps: list[list[Monomial]] = [[one]]
-        self._rep_index: list[dict[Monomial, int]] = [{one: 0}]
-        # pivot monomial -> combination over same-degree representatives
-        self._rewrite: list[dict[Monomial, dict[Monomial, int]]] = [{}]
-        self._red_cache: list[dict[Monomial, dict[Monomial, int]]] = [{}]
+        # per relator, its terms as (coefficient, 0-based letters)
+        self._terms = [[(c, [i - 1 for i in mu.letters]) for mu, c in rho.terms.items()]
+                       for rho in self.rhos]
+        self._reps: list[list[tuple[int, ...]]] = [[()]]
+        # _images[n][j]: the image table of X_{j+1} into degree n (None if n < tau_{j+1})
+        self._images: list[list[list | None]] = [[None] * ctx.d]
 
     def dimension(self, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
         while len(self._reps) <= n:
             self._extend()
         return len(self._reps[n])
@@ -305,75 +317,56 @@ class GradedQuotient:
 
     def representatives(self, n: int) -> list[Monomial]:
         self.dimension(n)
-        return list(self._reps[n])
+        return [Monomial(w, n) for w in self._reps[n]]
 
-    def _reduce(self, m: Monomial) -> dict[Monomial, int]:
-        """Image of a monomial in the chosen basis of its degree of B."""
-        deg = m.tau_degree
-        idx = self._rep_index[deg]
-        if m in idx:
-            return {m: 1}
-        rewrite = self._rewrite[deg]
-        if m in rewrite:
-            return rewrite[m]
-        cache = self._red_cache[deg]
-        if m in cache:
-            return cache[m]
-        # strip the last letter, reduce the prefix, reattach, resolve pivots
-        j = m.letters[-1]
-        tj = self.ctx.tau[j - 1]
-        prefix = Monomial(m.letters[:-1], deg - tj)
-        out: dict[Monomial, int] = {}
+    def _walk(self, vec: dict[int, int], deg: int, letters) -> dict[int, int]:
+        """Right-multiply a vector over the degree-deg basis by the letters."""
         p = self.ctx.p
-        for beta, c in self._reduce(prefix).items():
-            lifted = Monomial(beta.letters + (j,), deg)
-            if lifted in idx:
-                out[lifted] = (out.get(lifted, 0) + c) % p
-            else:
-                tail = rewrite.get(lifted)
-                if tail is None:
-                    raise InternalInvariantError(f"unclassified monomial {lifted}")
-                for rep, v in tail.items():
-                    out[rep] = (out.get(rep, 0) + c * v) % p
-        out = {k: v for k, v in out.items() if v}
-        cache[m] = out
-        return out
+        for j in letters:
+            deg += self.ctx.tau[j]
+            table = self._images[deg][j]
+            out: dict[int, int] = {}
+            for b, c in vec.items():
+                img = table[b]
+                if isinstance(img, int):
+                    out[img] = (out.get(img, 0) + c) % p
+                else:
+                    for r, v in img.items():
+                        out[r] = (out.get(r, 0) + c * v) % p
+            vec = {k: v for k, v in out.items() if v}
+        return vec
 
     def _extend(self):
         n = len(self._reps)
         ctx = self.ctx
         p = ctx.p
-        # coordinates of A_n modulo sum_j R_{n - tau_j} X_j, one block of
-        # B_{n - tau_j} representatives per last letter
-        v_monos: list[Monomial] = []
-        for j in range(1, ctx.d + 1):
-            k = n - ctx.tau[j - 1]
-            if k < 0:
-                continue
-            for beta in self._reps[k]:
-                v_monos.append(Monomial(beta.letters + (j,), n))
-        v_monos.sort(key=lambda m: m.sort_key)
-        col = {m: i for i, m in enumerate(v_monos)}
+        # coordinates of A_n modulo sum_j R_{n - tau_j} X_j: one column per
+        # beta_b * X_j, beta_b a representative of degree n - tau_j, sorted
+        cols = []
+        for j, t in enumerate(ctx.tau):
+            if n >= t:
+                cols += [(len(w), w + (j + 1,), j, b) for b, w in enumerate(self._reps[n - t])]
+        cols.sort()
+        # the tables map to column indices until the elimination is done
+        images = [[0] * len(self._reps[n - t]) if n >= t else None for t in ctx.tau]
+        for ci, (_, _, j, b) in enumerate(cols):
+            images[j][b] = ci
 
-        nrows = sum(
-            len(self._reps[n - sigma]) for sigma in self.sigmas if n - sigma >= 0
-        )
-        check_budget(nrows, len(v_monos), self.budget)
+        nrows = sum(len(self._reps[n - sigma]) for sigma in self.sigmas if n >= sigma)
+        check_budget(nrows, len(cols), self.budget)
 
         red = RowReducer(p)
-        for rho, sigma in zip(self.rhos, self.sigmas):
+        for terms, sigma in zip(self._terms, self.sigmas):
             k = n - sigma
             if k < 0:
                 continue
-            for beta in self._reps[k]:
+            for b in range(len(self._reps[k])):
                 row: dict[int, int] = {}
-                for mu, c in rho.terms.items():
-                    word = beta.letters + mu.letters
-                    j = word[-1]
-                    prefix = Monomial(word[:-1], n - ctx.tau[j - 1])
-                    for gamma, v in self._reduce(prefix).items():
-                        ci = col[Monomial(gamma.letters + (j,), n)]
-                        nv = (row.get(ci, 0) + c * v) % p
+                for c, letters in terms:
+                    landing = images[letters[-1]]
+                    for r, v in self._walk({b: c}, k, letters[:-1]).items():
+                        ci = landing[r]
+                        nv = (row.get(ci, 0) + v) % p
                         if nv:
                             row[ci] = nv
                         else:
@@ -381,16 +374,20 @@ class GradedQuotient:
                 red.add(row)
         red.finalize()
 
-        pivot_cols = set(red.pivots)
-        reps = [m for i, m in enumerate(v_monos) if i not in pivot_cols]
-        rewrite: dict[Monomial, dict[Monomial, int]] = {}
-        for lead, prow in red.pivots.items():
-            tail = {v_monos[c]: (-v) % p for c, v in prow.items() if c != lead}
-            rewrite[v_monos[lead]] = tail
+        rep_of = [0] * len(cols)
+        reps = []
+        for ci, col in enumerate(cols):
+            if ci not in red.pivots:
+                rep_of[ci] = len(reps)
+                reps.append(col[1])
+        for table in images:
+            for b, ci in enumerate(table or ()):
+                prow = red.pivots.pop(ci, None)  # frees each pivot row once converted
+                table[b] = rep_of[ci] if prow is None else {
+                    rep_of[k]: (-v) % p for k, v in prow.items() if k != ci
+                }
+        self._images.append(images)
         self._reps.append(reps)
-        self._rep_index.append({m: i for i, m in enumerate(reps)})
-        self._rewrite.append(rewrite)
-        self._red_cache.append({})
 
 
 def quotient_dimensions(ctx: Context, rhos, N: int, budget=None) -> IntSeries:

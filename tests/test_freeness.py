@@ -1,10 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import random_poly
-from mildkit import Context, IntSeries
+from mildkit import Context, IntSeries, initial_form
+from mildkit.cli import load_presentation
 from mildkit.errors import BudgetError
 from mildkit.freeness import (
     CONSISTENT,
@@ -27,6 +29,7 @@ from mildkit.orders import DegLexOrder, UOrder
 CTX2 = Context(2, 2)
 CTX3 = Context(2, 3)
 CTX4 = Context(2, 4)
+PRES = Path(__file__).resolve().parent.parent / "presentations"
 
 
 def mono(ctx, *letters):
@@ -203,9 +206,61 @@ def test_representatives_are_stable_basis():
     assert [m.letters for m in q.representatives(2)] == [(1, 2), (2, 1), (2, 2)]
 
 
+def test_representatives_weighted_column_order():
+    # tau = (2, 1): columns of one degree mix words of different lengths
+    ctx = Context(3, 2, (2, 1))
+    rho = ctx.poly([((1, 1), 1), ((2, 2, 2, 2), 1)])
+    q = GradedQuotient(ctx, [rho])
+    assert [m.letters for m in q.representatives(4)] == [(1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2, 2)]
+    assert [m.letters for m in q.representatives(5)] == [
+        (1, 2, 1), (1, 2, 2, 2), (2, 1, 2, 2), (2, 2, 1, 2), (2, 2, 2, 1), (2, 2, 2, 2, 2)
+    ]
+    assert [m.letters for m in q.representatives(6)] == [
+        (1, 2, 1, 2), (1, 2, 2, 1), (2, 1, 2, 1), (2, 1, 2, 2, 2),
+        (2, 2, 1, 2, 2), (2, 2, 2, 1, 2), (2, 2, 2, 2, 1), (2, 2, 2, 2, 2, 2),
+    ]
+    assert all(m.tau_degree == 6 for m in q.representatives(6))
+
+
+def test_negative_degree_rejected():
+    q = GradedQuotient(CTX2, [CTX2.poly([((1, 1), 1)])])
+    assert q.dimension(5) == 13
+    with pytest.raises(ValueError):
+        q.dimension(-1)
+    with pytest.raises(ValueError):
+        q.representatives(-1)
+
+
+def _corpus_forms(fname):
+    P = load_presentation(str(PRES / fname))
+    ctx = P.context()
+    return ctx, [initial_form(w, ctx, 8) for w in P.relator_words()]
+
+
+def test_quotient_dimensions_circuit_closed_form():
+    # 1/(1 - 4t + 4t^2) = 1/(1 - 2t)^2
+    ctx, forms = _corpus_forms("circuit_d4.pres")
+    assert list(quotient_dimensions(ctx, forms, 9)) == [(n + 1) * 2**n for n in range(10)]
+
+
+def test_quotient_dimensions_demuskin_recurrence():
+    # 1/(1 - 3t + t^3): b_n = 3 b_{n-1} - b_{n-3}
+    ctx, forms = _corpus_forms("demuskin_p3.pres")
+    want = [1, 3, 9]
+    while len(want) < 10:
+        want.append(3 * want[-1] - want[-3])
+    assert list(quotient_dimensions(ctx, forms, 9)) == want
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetError):
         quotient_dimensions(CTX4, circuit(CTX4), 8, budget=1000)
+    # a refused degree leaves the quotient consistent
+    q = GradedQuotient(CTX4, circuit(CTX4), budget=1000)
+    with pytest.raises(BudgetError):
+        q.dimension(8)
+    q.budget = None
+    assert q.dimensions(8) == [(n + 1) * 2**n for n in range(9)]
     with pytest.raises(BudgetError):
         ideal_slice(CTX4, circuit(CTX4), 6, budget=10)
 
