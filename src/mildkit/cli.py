@@ -533,13 +533,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_budget() -> int:
+    text = os.environ.get("MILDKIT_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"MILDKIT_BUDGET must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("MILDKIT_BUDGET", DEFAULT_BUDGET))
     try:
+        budget = args.budget
+        if budget is None:
+            budget = _env_budget()
         return args.fn(args, budget)
     except (BudgetError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -405,6 +405,8 @@ def quotient_dimensions(ctx: Context, rhos, N: int, budget=None) -> IntSeries:
 
 def denominator_series(tau, sigmas, N: int) -> IntSeries:
     """1 - (t^tau_1 + ... + t^tau_d) + (t^sigma_1 + ... + t^sigma_m)."""
+    if N < 0:
+        raise ValueError(f"degree must be >= 0, got {N}")
     tau = check_weights(tau)
     coeffs = [0] * (N + 1)
     coeffs[0] = 1

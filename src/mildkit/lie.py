@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Context, Poly, check_weights
+from .algebra import Context, Poly, check_weights, is_prime
 from .errors import MildkitError
 from .linalg import solve_combination
 from .magnus import Gen, GroupWord, Sub, commutator as group_commutator
@@ -128,6 +128,8 @@ class RestrictedBasisElement:
 def restricted_basis(d: int, n: int, p: int, tau=None) -> list[RestrictedBasisElement]:
     """Basis of degree n of the free restricted Lie algebra: all c^(p^j)
     with (weighted degree of c) * p^j = n."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if tau is None:
         tau = (1,) * d
     out = []

@@ -3,7 +3,8 @@
 Rows are dicts mapping integer column indices to nonzero residues; the
 pivot of a row is its smallest column.  One implementation serves the
 Hilbert-series oracle, the Lie-membership solves, and the Massey
-certificate construction.
+certificate construction; the last two track row operations in extra
+columns past the data columns.
 """
 
 from __future__ import annotations
@@ -87,67 +88,23 @@ class RowReducer:
             self.pivots[lead] = tail
 
 
-class TrackingReducer:
-    """Row reduction carrying a tracking vector through the same operations,
-    used for solving linear systems and extracting row transforms."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: dict[int, tuple[dict[int, int], dict]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, row, trace):
-        p = self.p
-        row = {k: v % p for k, v in row.items() if v % p}
-        trace = {k: v % p for k, v in trace.items() if v % p}
-        while row:
-            lead = min(row)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            prow, ptrace = hit
-            c = row[lead]
-            for k, v in prow.items():
-                nv = (row.get(k, 0) - c * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            for k, v in ptrace.items():
-                nv = (trace.get(k, 0) - c * v) % p
-                if nv:
-                    trace[k] = nv
-                else:
-                    trace.pop(k, None)
-        return row, trace
-
-    def add(self, row, trace):
-        row, trace = self.reduce(row, trace)
-        if not row:
-            return None
-        lead = min(row)
-        inv = pow(row[lead], -1, self.p)
-        row = {k: (v * inv) % self.p for k, v in row.items()}
-        trace = {k: (v * inv) % self.p for k, v in trace.items()}
-        self.pivots[lead] = (row, trace)
-        return lead
-
-
 def solve_combination(p: int, columns, target):
     """Coefficients x with sum_i x_i * columns[i] = target over F_p, or None.
 
-    Columns and target are sparse dicts over a shared row-index set.
+    Columns and target are sparse dicts over a shared set of row indices
+    (nonnegative integers).  Column i is tracked in the extra column
+    width + i; a column that depends on earlier ones is dropped.
     """
-    tr = TrackingReducer(p)
+    width = 1 + max((k for v in (*columns, target) for k in v), default=-1)
+    red = RowReducer(p)
     for i, col in enumerate(columns):
-        tr.add(dict(col), {i: 1})
-    residue, trace = tr.reduce(dict(target), {})
-    if residue:
+        lead = red.add({**col, width + i: 1})
+        if lead >= width:
+            del red.pivots[lead]
+    row = red.reduce(dict(target))
+    if any(k < width for k in row):
         return None
-    return [(-trace.get(i, 0)) % p for i in range(len(columns))]
+    return [(-row.get(width + i, 0)) % p for i in range(len(columns))]
 
 
 def rank(p: int, rows) -> int:

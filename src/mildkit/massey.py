@@ -14,12 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import INFINITY, Monomial, Poly
+from .algebra import INFINITY, Context, Monomial, Poly
 from .errors import BudgetError, PrecisionError
 from .freeness import FreenessVerdict, anick_check
 from .lie import NotInRestrictedLieError, lie_membership, p_power_commutator_split
-from .linalg import TrackingReducer, dense_rank, is_invertible, kernel_basis
-from .magnus import Presentation, expand, initial_form, omega
+from .linalg import RowReducer, is_invertible, kernel_basis
+from .magnus import Presentation, expand
 from .orders import UOrder, high_term
 
 MILD = "mild"
@@ -31,11 +31,21 @@ NOT_APPLICABLE = "not-applicable"
 # Zassenhaus invariant
 # ---------------------------------------------------------------------------
 
+def _expansions(P: Presentation, cutoff: int):
+    """The relators' unweighted expansions minus one, truncated past the
+    cutoff (one expand call per relator), and their minimum valuation, or
+    None when all are trivial.  Every coefficient of degree <= cutoff is
+    exact, so z(G) and each tensor slice up to the cutoff are read off
+    these polynomials."""
+    ctx = P.context(unweighted=True)
+    reduced = [expand(w, ctx, cutoff).reduced for _, w in P.relators]
+    return reduced, min((f.tau_valuation() for f in reduced if not f.is_zero), default=None)
+
+
 def relator_valuations(P: Presentation, cutoff: int) -> list:
     """Unweighted valuations of the relators; None marks a relator whose
     expansion is trivial to the cutoff (deeper than cutoff, or trivial)."""
-    ctx = P.context(unweighted=True)
-    return [omega(w, ctx, cutoff) for _, w in P.relators]
+    return [None if f.is_zero else f.tau_valuation() for f in _expansions(P, cutoff)[0]]
 
 
 def zassenhaus_invariant(P: Presentation, cutoff: int):
@@ -44,11 +54,7 @@ def zassenhaus_invariant(P: Presentation, cutoff: int):
     minimum is not visible at this cutoff."""
     if P.m == 0:
         return INFINITY
-    vals = relator_valuations(P, cutoff)
-    known = [v for v in vals if v is not None]
-    if not known:
-        return None
-    return min(known)
+    return _expansions(P, cutoff)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -115,27 +121,37 @@ def _transform_values(values, matrix, p, d, n):
     return cur
 
 
+def _slice(P: Presentation, reduced, n: int) -> MasseyTensor:
+    values = tuple(
+        {m.letters: c for m, c in f.terms.items() if m.tau_degree == n} for f in reduced
+    )
+    return MasseyTensor(P.p, P.d, n, P.relator_names(), values)
+
+
+def _z_tensor(P: Presentation, cutoff: int) -> MasseyTensor:
+    """The tensor at n = z(G), from one expansion of each relator."""
+    reduced, z = _expansions(P, cutoff)
+    if z is None:
+        raise PrecisionError(
+            f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
+            "(a trivial relator can never yield a finite invariant)"
+        )
+    return _slice(P, reduced, z)
+
+
 def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
     """All length-n expansion coefficients of the relators.  Defined only
     for n <= the Zassenhaus invariant (the products are not uniquely
     defined beyond it)."""
     if n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
-    cutoff = max(cutoff or 0, n)
-    z = zassenhaus_invariant(P, cutoff)
-    if z is not INFINITY and z is not None and n > z:
+    reduced, z = _expansions(P, max(cutoff or 0, n))
+    if z is not None and n > z:
         raise ValueError(
             f"n = {n} exceeds the Zassenhaus invariant {z}; "
             "the Massey product is not uniquely defined there"
         )
-    ctx = P.context(unweighted=True)
-    values = []
-    for _, w in P.relators:
-        poly = expand(w, ctx, n).poly
-        values.append(
-            {m.letters: c for m, c in poly.terms.items() if m.tau_degree == n}
-        )
-    return MasseyTensor(P.p, P.d, n, P.relator_names(), tuple(values))
+    return _slice(P, reduced, n)
 
 
 def massey_value(T: MasseyTensor, xs) -> list[int]:
@@ -318,16 +334,6 @@ class MildVerdict:
         return out
 
 
-def _require_z(P: Presentation, cutoff: int) -> int:
-    z = zassenhaus_invariant(P, cutoff)
-    if z is None:
-        raise PrecisionError(
-            f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
-            "(a trivial relator can never yield a finite invariant)"
-        )
-    return z
-
-
 def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdict:
     """Decide the decomposition criterion at n = z(G) and, on success,
     rebuild its constructive certificate.
@@ -341,18 +347,20 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
     """
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    n = _require_z(P, cutoff)
-    d = P.d
+    return _decide(_z_tensor(P, cutoff), D)
+
+
+def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
+    """The criterion of check_mild on the tensor at n = z(G)."""
+    n, d, p = T.n, T.d, T.p
     c, e = D.c, D.e
     if not 1 <= c < d:
         raise ValueError(f"need 1 <= c < d = {d}, got c = {c}")
     if not 1 <= e <= n - 1:
         raise ValueError(f"need 1 <= e <= n - 1 = {n - 1}, got e = {e}")
     rows = D.rows(d)
-    if not is_invertible(P.p, rows):
+    if not is_invertible(p, rows):
         raise ValueError("basis-change matrix is not invertible")
-
-    T = massey_tensor(P, n, cutoff)
     if D.matrix is not None:
         T = T.transformed(rows)
 
@@ -366,45 +374,43 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
                     f"product on tuple {index} with >= {n - e + 1} entries in V",
                 )
 
-    # (b) surjectivity block over U^e x V^(n-e)
-    block = [
-        u + v
-        for u in itertools.product(range(1, c + 1), repeat=e)
-        for v in itertools.product(range(c + 1, d + 1), repeat=n - e)
-    ]
-    matrix = [[vals.get(index, 0) for index in block] for vals in T.values]
-    if dense_rank(P.p, matrix) < T.m:
+    # (b) and the certificate: row-reduce the block over U^e x V^(n-e),
+    # columns in decreasing subset order, with relator j tracked in column
+    # width + j.  The block has rank m iff m pivots land on block columns;
+    # those pivots are the high terms of the reduced relator forms.
+    order = UOrder(frozenset(range(1, c + 1)), (1,) * d)
+    block = sorted(
+        (
+            Monomial(u + v, n)
+            for u in itertools.product(range(1, c + 1), repeat=e)
+            for v in itertools.product(range(c + 1, d + 1), repeat=n - e)
+        ),
+        key=order.sort_key(),
+        reverse=True,
+    )
+    width = len(block)
+    col = {m.letters: k for k, m in enumerate(block)}
+    reducer = RowReducer(p)
+    for j, vals in enumerate(T.values):
+        row = {col[i]: v for i, v in vals.items() if i in col}
+        row[width + j] = 1
+        reducer.add(row)
+    leads = sorted(lead for lead in reducer.pivots if lead < width)
+    if len(leads) < T.m:
         return MildVerdict(
             CRITERION_FAILED,
             "condition (b) fails: the block over U^e x V^(n-e) has rank "
             "< m (relators dependent or too deep)",
         )
 
-    # certificate: row-reduce the block with columns in decreasing subset
-    # order; pivots become the high terms of the reduced relator forms
-    order = UOrder(frozenset(range(1, c + 1)), (1,) * d)
-    monos = sorted(
-        (Monomial(index, n) for index in block),
-        key=order.sort_key(),
-        reverse=True,
-    )
-    col = {m.letters: k for k, m in enumerate(monos)}
-    reducer = TrackingReducer(P.p)
-    for j, vals in enumerate(T.values):
-        reducer.add({col[i]: v for i, v in vals.items() if i in col}, {j: 1})
-    if reducer.rank < T.m:
-        return MildVerdict(CRITERION_FAILED, "relators dependent or too deep")
-
-    ctx = P.context(unweighted=True)
-    full = [
-        Poly(ctx, {Monomial(i, n): v for i, v in vals.items()}) for vals in T.values
-    ]
+    ctx = Context(p, d)
+    full = [Poly(ctx, {Monomial(i, n): v for i, v in vals.items()}) for vals in T.values]
     forms = []
-    for lead in sorted(reducer.pivots):
-        _, trace = reducer.pivots[lead]
+    for lead in leads:
         poly = ctx.zero()
-        for j, t in trace.items():
-            poly = poly + full[j].scale(t)
+        for k, t in reducer.pivots[lead].items():
+            if k >= width:
+                poly = poly + full[k - width].scale(t)
         forms.append(poly)
     verdict = anick_check(forms, order)
     highs = tuple(high_term(order, f) for f in forms)
@@ -431,10 +437,7 @@ def _subset_permutation(d: int, subset) -> tuple:
     """Basis change whose first len(subset) rows are the chosen standard
     vectors, the rest following in index order."""
     rest = [i for i in range(1, d + 1) if i not in subset]
-    rows = []
-    for i in list(subset) + rest:
-        rows.append(tuple(1 if j == i else 0 for j in range(1, d + 1)))
-    return tuple(rows)
+    return tuple(tuple(1 if j == i else 0 for j in range(1, d + 1)) for i in [*subset, *rest])
 
 
 def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrices=()) -> MildVerdict:
@@ -443,8 +446,8 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     wins.  The subset space is 2^d-sized, so a case budget applies."""
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    n = _require_z(P, cutoff)
-    d = P.d
+    T = _z_tensor(P, cutoff)
+    n, d = T.n, P.d
     if n < 2 or d < 2:
         return MildVerdict(
             CRITERION_FAILED,
@@ -465,7 +468,7 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
             f"{len(cases)} decompositions exceed the search budget {max_cases}"
         )
     for D, label in cases:
-        verdict = check_mild(P, D, cutoff)
+        verdict = _decide(T, D)
         if verdict.is_mild:
             verdict.reason = f"found by search: {label}"
             return verdict
@@ -552,7 +555,7 @@ def one_relator_verdict(
     if P.m != 1:
         raise ValueError(f"one-relator analysis needs exactly one relator, got {P.m}")
     name, w = P.relators[0]
-    z = zassenhaus_invariant(P, cutoff)
+    reduced, z = _expansions(P, cutoff)
     routes: list[str] = []
     notes = []
 
@@ -566,19 +569,24 @@ def one_relator_verdict(
     if coprime:
         routes.append(f"zassenhaus-invariant {z} coprime to p = {P.p}")
 
-    taus = [(1,) * P.d]
-    if P.tau != (1,) * P.d:
+    unweighted = (1,) * P.d
+    taus = [unweighted]
+    if P.tau != unweighted:
         taus.append(P.tau)
     taus.extend(tuple(t) for t in extra_taus)
+    # one expansion per distinct weight vector, at cutoff * max(tau)
+    by_tau = {unweighted: reduced[0]}
     memberships = []
     for tau in taus:
         ctx = P.context(tau)
-        val = omega(w, ctx, cutoff * max(tau))
-        if val is None:
+        if tau not in by_tau:
+            by_tau[tau] = expand(w, ctx, cutoff * max(tau)).reduced
+        f = by_tau[tau]
+        if f.is_zero:
             memberships.append(MembershipRecord(tau, None, None))
             continue
-        form = initial_form(w, ctx, cutoff * max(tau))
-        coords = lie_membership(form, val)
+        val = f.tau_valuation()
+        coords = lie_membership(f.homogeneous_component(val), val)
         memberships.append(MembershipRecord(tau, val, coords is not None, coords))
         if coords is not None:
             routes.append(f"initial form at tau = {tau} is a Lie polynomial")
@@ -586,23 +594,22 @@ def one_relator_verdict(
     split = None
     split_error = None
     try:
-        ctx1 = P.context(unweighted=True)
-        split = p_power_commutator_split(initial_form(w, ctx1, cutoff), z)
+        split = p_power_commutator_split(reduced[0].homogeneous_component(z), z)
     except NotInRestrictedLieError as exc:  # pragma: no cover - defensive
         split_error = str(exc)
 
+    T = _slice(P, reduced, z)
     bp_matrix = None
     bp_kernel = None
     if z == P.p and P.d >= 2:
-        T = massey_tensor(P, z, cutoff)
         bp_matrix = bn_map(T)
         bp_kernel = kernel_basis(P.p, bp_matrix, P.d)
 
     demuskin_report = None
     demuskin_verdict = None
     if with_demuskin:
-        demuskin_report = demuskin_type(P, cutoff, budget=budget)
-        demuskin_verdict = demuskin_mildness(P, cutoff, budget=budget)
+        demuskin_report = _demuskin_type(T, budget)
+        demuskin_verdict = _demuskin_mildness(T, demuskin_report)
         if demuskin_verdict.is_mild:
             routes.append("Demuškin-type construction")
 
@@ -648,15 +655,12 @@ def _pairing_form(T: MasseyTensor, chi, slot: int) -> list[int]:
     out = [0] * T.d
     for index, c in vals.items():
         w = c
-        ok = True
         for k, i in enumerate(index):
-            if k == slot:
-                continue
-            w = (w * chi[i - 1]) % p
-            if not w:
-                ok = False
-                break
-        if ok:
+            if k != slot:
+                w = (w * chi[i - 1]) % p
+                if not w:
+                    break
+        else:
             out[index[slot] - 1] = (out[index[slot] - 1] + w) % p
     return out
 
@@ -668,21 +672,19 @@ def demuskin_type(P: Presentation, cutoff: int = 8, budget: int = 200000) -> Dem
     honestly when that exceeds the budget."""
     if P.m != 1:
         raise ValueError(f"Demuškin-type analysis needs exactly one relator, got {P.m}")
-    n = _require_z(P, cutoff)
-    count = P.p**P.d - 1
+    return _demuskin_type(_z_tensor(P, cutoff), budget)
+
+
+def _demuskin_type(T: MasseyTensor, budget: int) -> DemuskinTypeReport:
+    count = T.p**T.d - 1
     if count > budget:
         raise BudgetError(
             f"enumerating {count} classes of H^1 exceeds the budget {budget}"
         )
-    T = massey_tensor(P, n, cutoff)
-    for chi in itertools.product(range(P.p), repeat=P.d):
-        if not any(chi):
-            continue
-        if not any(
-            any(_pairing_form(T, chi, slot)) for slot in range(n)
-        ):
-            return DemuskinTypeReport(False, n, witness=chi)
-    return DemuskinTypeReport(True, n)
+    for chi in itertools.product(range(T.p), repeat=T.d):
+        if any(chi) and not any(any(_pairing_form(T, chi, slot)) for slot in range(T.n)):
+            return DemuskinTypeReport(False, T.n, witness=chi)
+    return DemuskinTypeReport(True, T.n)
 
 
 def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) -> MildVerdict:
@@ -692,18 +694,21 @@ def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) ->
     e = 1.  One-generator groups of Demuškin type are finite cyclic."""
     if P.m != 1:
         raise ValueError(f"Demuškin mildness needs exactly one relator, got {P.m}")
-    n = _require_z(P, cutoff)
-    report = demuskin_type(P, cutoff, budget=budget)
+    T = _z_tensor(P, cutoff)
+    return _demuskin_mildness(T, _demuskin_type(T, budget))
+
+
+def _demuskin_mildness(T: MasseyTensor, report: DemuskinTypeReport) -> MildVerdict:
+    n, d = T.n, T.d
     if not report.is_type:
         return MildVerdict(
             NOT_APPLICABLE,
             f"not of Demuškin type: no pairing partner for chi = {report.witness}",
         )
-    if P.d == 1:
-        k = 0
-        q = 1
+    if d == 1:
+        k, q = 0, 1
         while q < n:
-            q *= P.p
+            q *= T.p
             k += 1
         if q != n:
             raise ValueError(
@@ -713,8 +718,7 @@ def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) ->
             NOT_APPLICABLE,
             f"finite group: G = Z/{n} (cyclic of order p^{k}); not mild, cd is infinite",
         )
-    T = massey_tensor(P, n, cutoff)
-    kern = kernel_basis(P.p, bn_map(T), P.d)
+    kern = kernel_basis(T.p, bn_map(T), d)
     if not kern:  # pragma: no cover - impossible for m = 1 < d
         return MildVerdict(CRITERION_FAILED, "diagonal map has trivial kernel")
     chi = tuple(kern[0])
@@ -725,13 +729,9 @@ def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) ->
             "no psi pairs with chi^(n-1); shifting identity violated",
         )
     pivot = next(i for i, v in enumerate(chi) if v)
-    rows = [
-        tuple(1 if j == i else 0 for j in range(P.d))
-        for i in range(P.d)
-        if i != pivot
-    ]
+    rows = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d) if i != pivot]
     rows.append(chi)
-    verdict = check_mild(P, Decomposition(P.d - 1, 1, tuple(rows)), cutoff)
+    verdict = _decide(T, Decomposition(d - 1, 1, tuple(rows)))
     if verdict.is_mild:
         verdict.reason = (
             f"Demuškin-type construction with chi = {list(chi)} spanning V"

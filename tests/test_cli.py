@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -239,6 +241,30 @@ def test_series_admissible_command(capsys):
     assert doc["result"]["series"] == [1, 3, 6, 9, 9, 0, -27]
 
 
+def test_series_admissible_negative_degree(capsys):
+    argv = ["series-admissible", "--tau", "1,1", "--sigma", "2", "--degree", "-1"]
+    assert main(argv) == 2
+    assert "degree must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["0", "4"])
+def test_hall_rejects_non_prime(capsys, p):
+    assert main(["hall", "--d", "2", "--n", "4", "--p", p]) == 2
+    assert "p must be a prime" in capsys.readouterr().err
+
+
+def test_hall_p1_exits_instead_of_looping():
+    # a child process, so that a regression fails on the timeout rather
+    # than hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mildkit.cli", "hall", "--d", "2", "--n", "4", "--p", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "p must be a prime" in done.stderr
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.pres"
     bad.write_text("p: 4\ngenerators: a\nrelators:\n  r: a^2\n")
@@ -261,6 +287,15 @@ def test_env_budget_override(capsys, monkeypatch):
     code = main(["hilbert", str(PRES / "circuit_d4.pres"), "--degree", "8", "--json"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_env_budget_must_be_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("MILDKIT_BUDGET", value)
+    assert main(["zassenhaus", str(PRES / "demuskin_p3.pres")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: MILDKIT_BUDGET must be an integer, got {value!r}\n"
 
 
 def test_text_and_json_verdicts_agree(capsys):

@@ -15,6 +15,7 @@ from mildkit.freeness import (
     GradedQuotient,
     anick_check,
     combinatorially_free,
+    denominator_series,
     dimension_series,
     enumerate_basis,
     ideal_slice,
@@ -323,6 +324,14 @@ def test_anick_proofs_never_contradict_the_oracle():
 
 
 # -- admissibility ------------------------------------------------------------
+
+
+def test_denominator_series_rejects_negative_degree():
+    assert denominator_series((1, 1), [2], 0).coeffs == (1,)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        denominator_series((1, 1), [2], -1)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        series_admissibility((1, 1), [2], -1)
 
 
 def test_admissibility_triple_inadmissible():

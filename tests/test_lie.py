@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,23 @@ def test_restricted_basis_p2_degree2():
 def test_restricted_basis_single_generator():
     basis = restricted_basis(1, 3, 3)
     assert [e.format(p=3) for e in basis] == ["X1^3"]
+
+
+@pytest.mark.parametrize("p", [0, 4, 9, -2])
+def test_restricted_basis_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="p must be a prime"):
+        restricted_basis(2, 4, p)
+
+
+def test_restricted_basis_rejects_p1_without_looping():
+    # p = 1 never grows p^j; run it in a child process so that a regression
+    # fails on the timeout rather than hanging the suite
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from mildkit.lie import restricted_basis; restricted_basis(2, 4, 1)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "ValueError: p must be a prime, got 1" in done.stderr
 
 
 def test_restricted_basis_weighted():

@@ -58,6 +58,8 @@ def test_solve_combination():
     assert solve_combination(5, cols, {0: 2, 1: 3}) == [2, 1]
     assert solve_combination(5, cols, {2: 1}) is None
     assert solve_combination(5, [], {}) == []
+    # a column that depends on earlier ones gets coefficient 0
+    assert solve_combination(5, [{0: 1}, {0: 2}, {1: 1}], {0: 3, 1: 1}) == [3, 0, 1]
 
 
 def test_solve_matches_random_combos():

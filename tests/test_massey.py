@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import mildkit.magnus
+import mildkit.massey
 from mildkit.errors import BudgetError, PrecisionError
 from mildkit.freeness import PROVEN, CONSISTENT, anick_check, strongly_free_oracle
 from mildkit.lie import hall_basis, hall_to_group_word
@@ -465,3 +468,78 @@ def test_verdicts_invariant_under_letter_permutations():
         assert zassenhaus_invariant(Q, 8) == zassenhaus_invariant(P, 8)
         assert search_mild(Q).status == search_mild(P).status
         assert demuskin_type(Q).is_type == demuskin_type(P).is_type
+
+
+# -- one expansion per relator -------------------------------------------------------
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """Arguments of every expand call, through both of its bindings."""
+    calls = []
+    original = mildkit.magnus.expand
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mildkit.magnus, "expand", counted)
+    monkeypatch.setattr(mildkit.massey, "expand", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "P, run",
+    [
+        (CIRCUIT, search_mild),
+        (CIRCUIT, lambda P: check_mild(P, Decomposition(2, 1, _subset_permutation(4, (2, 4))))),
+        (DEMUSKIN_P3, demuskin_mildness),
+    ],
+    ids=["search_mild", "check_mild", "demuskin_mildness"],
+)
+def test_verdict_expands_each_relator_once(expand_calls, P, run):
+    assert run(P).status == MILD
+    assert len(expand_calls) == P.m
+
+
+def test_one_relator_expands_once_per_weight_vector(expand_calls):
+    taus = [(2, 1, 1), (1, 1, 1), (2, 1, 1)]
+    report = one_relator_verdict(DEMUSKIN_P3, extra_taus=taus, with_demuskin=True)
+    assert report.demuskin_verdict.status == MILD
+    assert [(ctx.tau, cutoff) for _, ctx, cutoff in expand_calls] == [
+        ((1, 1, 1), 8),
+        ((2, 1, 1), 16),
+    ]
+
+
+# -- search and direct check agree ---------------------------------------------------
+
+
+@st.composite
+def presentations(draw):
+    """p in {2, 3, 5}, 2 <= d <= 4, one or two relators, each a product of
+    p-th powers of generators and commutators nested up to depth 3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(2, 4))
+    gen = st.integers(1, d).map(lambda i: f"x{i}")
+
+    def bracket(inner):
+        return st.tuples(inner, inner).map(lambda ab: f"[{ab[0]}, {ab[1]}]")
+
+    comm = bracket(st.recursive(gen, bracket, max_leaves=2))
+    power = gen.map(lambda x: f"{x}^{p}")
+    relator = st.lists(st.one_of(power, comm), min_size=1, max_size=3).map(" ".join)
+    relators = draw(st.lists(relator, min_size=1, max_size=2))
+    return pres(p, d, relators)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations())
+def test_search_certificate_matches_direct_check(P):
+    assume(zassenhaus_invariant(P, 8) is not None)
+    verdict = search_mild(P)
+    if verdict.is_mild:
+        direct = check_mild(P, verdict.certificate.decomposition)
+        assert direct.is_mild
+        assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
