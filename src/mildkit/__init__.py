@@ -29,7 +29,6 @@ from .errors import (
 from .freeness import (
     anick_check,
     combinatorially_free,
-    ideal_slice,
     quotient_dimensions,
     series_admissibility,
     strongly_free_oracle,

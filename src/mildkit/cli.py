@@ -408,8 +408,7 @@ def cmd_demuskin(args, budget):
     started = time.perf_counter()
     P = load_presentation(args.file)
     cutoff = _resolve_cutoff(P, args.cutoff)
-    report = massey.demuskin_type(P, cutoff, budget=budget)
-    verdict = massey.demuskin_mildness(P, cutoff, budget=budget)
+    report, verdict = massey._demuskin(P, cutoff, budget)
     result = {
         "type": report.as_dict(),
         "mildness": verdict.as_dict(P.names),

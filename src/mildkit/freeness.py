@@ -180,26 +180,6 @@ def anick_check(rhos, order) -> FreenessVerdict:
 # graded quotient dimensions
 # ---------------------------------------------------------------------------
 
-def enumerate_basis(ctx: Context, n: int) -> list[Monomial]:
-    """All monomials of weighted degree n, in length-lex order."""
-    out = []
-
-    def walk(letters, deg):
-        if deg == n:
-            out.append(Monomial(tuple(letters), n))
-            return
-        for i in range(1, ctx.d + 1):
-            t = ctx.tau[i - 1]
-            if deg + t <= n:
-                letters.append(i)
-                walk(letters, deg + t)
-                letters.pop()
-
-    walk([], 0)
-    out.sort(key=lambda m: m.sort_key)
-    return out
-
-
 def dimension_series(ctx: Context, N: int) -> IntSeries:
     """Weighted word counts of the free algebra: inverse of 1 - sum t^tau_i."""
     dims = [0] * (N + 1)
@@ -207,50 +187,6 @@ def dimension_series(ctx: Context, N: int) -> IntSeries:
     for n in range(1, N + 1):
         dims[n] = sum(dims[n - t] for t in ctx.tau if n - t >= 0)
     return IntSeries(tuple(dims))
-
-
-@dataclass
-class GradedIdealSlice:
-    """Degree-n slice of the two-sided ideal: spanning vectors of all
-    alpha * rho_i * beta with matching degree, as rows over the length-lex
-    monomial basis of the free algebra in degree n."""
-
-    degree: int
-    basis: list[Monomial]
-    rows: list[dict[int, int]]
-
-
-def ideal_slice(ctx: Context, rhos, n: int, budget=None) -> GradedIdealSlice:
-    """Literal spanning-set construction; duplicate rows are removed.
-    Intended for modest degrees — quotient_dimensions uses an equivalent
-    incremental elimination instead."""
-    _check_relators(ctx, rhos)
-    basis = enumerate_basis(ctx, n)
-    index = {m: k for k, m in enumerate(basis)}
-    rows = []
-    seen = set()
-    for rho in rhos:
-        sigma = rho.tau_valuation()
-        for a in range(0, n - sigma + 1):
-            b = n - sigma - a
-            for alpha in enumerate_basis(ctx, a):
-                for beta in enumerate_basis(ctx, b):
-                    row: dict[int, int] = {}
-                    for m, c in rho.terms.items():
-                        row[index[alpha * m * beta]] = c
-                    key = frozenset(row.items())
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(row)
-    check_budget(len(rows), len(basis), budget)
-    return GradedIdealSlice(n, basis, rows)
-
-
-def slice_rank(ctx: Context, slc: GradedIdealSlice) -> int:
-    red = RowReducer(ctx.p)
-    for row in slc.rows:
-        red.add(dict(row))
-    return red.rank
 
 
 def _check_relators(ctx: Context, rhos):
@@ -282,15 +218,18 @@ class GradedQuotient:
     matrix, which stays desk-scale even where the literal spanning set of
     the slice would not.
 
-    All bookkeeping is in integer coordinates.  Per degree n the engine
-    keeps the representative words (letter tuples in length-lex order) and
-    one image table per letter X_j: entry b is the image of beta_b * X_j,
-    beta_b the b-th representative of degree n - tau_j, in the degree-n
-    basis -- a representative index when the word is itself a
-    representative, a {representative index: coefficient} dict when it is
-    a pivot.  A row walks each term of beta * rho_i through these tables,
-    so no word is hashed.  The tables grow lazily, so an instance is not
-    safe to share across threads while it is being extended.
+    All bookkeeping is in integers.  A word X_{l_1}...X_{l_k} is stored as
+    the integer l_1 (d+1)^(k-1) + ... + l_k, its letters read as digits
+    1..d in bijective base d+1, so integer order is length-lex order.  Per
+    degree n the engine keeps the representative words in increasing
+    order and one image table per letter X_j: entry b is the image of
+    beta_b * X_j, beta_b the b-th representative of degree n - tau_j, in
+    the degree-n basis -- a representative index when the word is itself a
+    representative or rewrites to one, a {representative index:
+    coefficient} dict otherwise.  Per degree each relator term is read
+    through these tables once, for every beta at once, so a row is built by
+    lookups alone.  The tables grow lazily, so an instance is not safe to
+    share across threads while it is being extended.
     """
 
     def __init__(self, ctx: Context, rhos, budget=None):
@@ -301,7 +240,7 @@ class GradedQuotient:
         # per relator, its terms as (coefficient, 0-based letters)
         self._terms = [[(c, [i - 1 for i in mu.letters]) for mu, c in rho.terms.items()]
                        for rho in self.rhos]
-        self._reps: list[list[tuple[int, ...]]] = [[()]]
+        self._reps: list[list[int]] = [[0]]
         # _images[n][j]: the image table of X_{j+1} into degree n (None if n < tau_{j+1})
         self._images: list[list[list | None]] = [[None] * ctx.d]
 
@@ -317,75 +256,98 @@ class GradedQuotient:
 
     def representatives(self, n: int) -> list[Monomial]:
         self.dimension(n)
-        return [Monomial(w, n) for w in self._reps[n]]
+        base = self.ctx.d + 1
+        out = []
+        for w in self._reps[n]:
+            letters = []
+            while w:
+                w, j = divmod(w, base)
+                letters.append(j)
+            out.append(Monomial(tuple(reversed(letters)), n))
+        return out
 
-    def _walk(self, vec: dict[int, int], deg: int, letters) -> dict[int, int]:
-        """Right-multiply a vector over the degree-deg basis by the letters."""
+    def _term_table(self, deg: int, letters, landing: list) -> list:
+        """Entry b: the image of beta_b * X_letters, beta_b the b-th
+        representative of degree deg; the last letter maps through landing."""
+        tau = self.ctx.tau
+        tables = []
+        for j in letters[:-1]:
+            deg += tau[j]
+            tables.append(self._images[deg][j])
+        tables.append(landing)
+        composed = tables[0]
+        for table in tables[1:]:
+            composed = [table[img] if type(img) is int else self._push(img, table) for img in composed]
+        return composed
+
+    def _push(self, vec: dict[int, int], table: list) -> dict[int, int]:
+        """Map a vector through an image table."""
         p = self.ctx.p
-        for j in letters:
-            deg += self.ctx.tau[j]
-            table = self._images[deg][j]
-            out: dict[int, int] = {}
-            for b, c in vec.items():
-                img = table[b]
-                if isinstance(img, int):
-                    out[img] = (out.get(img, 0) + c) % p
-                else:
-                    for r, v in img.items():
-                        out[r] = (out.get(r, 0) + c * v) % p
-            vec = {k: v for k, v in out.items() if v}
-        return vec
+        out: dict[int, int] = {}
+        for r, c in vec.items():
+            img = table[r]
+            if type(img) is int:
+                out[img] = out.get(img, 0) + c
+            else:
+                for s, v in img.items():
+                    out[s] = out.get(s, 0) + c * v
+        return {k: v % p for k, v in out.items() if v % p}
 
     def _extend(self):
         n = len(self._reps)
         ctx = self.ctx
         p = ctx.p
+        base = ctx.d + 1
         # coordinates of A_n modulo sum_j R_{n - tau_j} X_j: one column per
-        # beta_b * X_j, beta_b a representative of degree n - tau_j, sorted
-        cols = []
+        # beta_b * X_j, beta_b a representative of degree n - tau_j, keyed
+        # and sorted by the word
+        keys = []
         for j, t in enumerate(ctx.tau):
             if n >= t:
-                cols += [(len(w), w + (j + 1,), j, b) for b, w in enumerate(self._reps[n - t])]
-        cols.sort()
+                keys += [w * base + j + 1 for w in self._reps[n - t]]
+        keys.sort()
         # the tables map to column indices until the elimination is done
         images = [[0] * len(self._reps[n - t]) if n >= t else None for t in ctx.tau]
-        for ci, (_, _, j, b) in enumerate(cols):
-            images[j][b] = ci
+        filled = [0] * ctx.d
+        for ci, key in enumerate(keys):
+            j = key % base - 1
+            images[j][filled[j]] = ci
+            filled[j] += 1
 
         nrows = sum(len(self._reps[n - sigma]) for sigma in self.sigmas if n >= sigma)
-        check_budget(nrows, len(cols), self.budget)
+        check_budget(nrows, len(keys), self.budget)
 
         red = RowReducer(p)
         for terms, sigma in zip(self._terms, self.sigmas):
             k = n - sigma
             if k < 0:
                 continue
-            for b in range(len(self._reps[k])):
+            coeffs = [c for c, _ in terms]
+            tables = [self._term_table(k, letters, images[letters[-1]]) for _, letters in terms]
+            for imgs in zip(*tables):
                 row: dict[int, int] = {}
-                for c, letters in terms:
-                    landing = images[letters[-1]]
-                    for r, v in self._walk({b: c}, k, letters[:-1]).items():
-                        ci = landing[r]
-                        nv = (row.get(ci, 0) + v) % p
-                        if nv:
-                            row[ci] = nv
-                        else:
-                            row.pop(ci, None)
-                red.add(row)
+                for c, img in zip(coeffs, imgs):
+                    if type(img) is int:
+                        row[img] = row.get(img, 0) + c
+                    else:
+                        for ci, v in img.items():
+                            row[ci] = row.get(ci, 0) + c * v
+                red.add(row)  # reduces mod p and drops zero entries
         red.finalize()
 
-        rep_of = [0] * len(cols)
+        # column index -> its image in the degree-n basis
+        col_image: list = [None] * len(keys)
         reps = []
-        for ci, col in enumerate(cols):
+        for ci, key in enumerate(keys):
             if ci not in red.pivots:
-                rep_of[ci] = len(reps)
-                reps.append(col[1])
-        for table in images:
-            for b, ci in enumerate(table or ()):
-                prow = red.pivots.pop(ci, None)  # frees each pivot row once converted
-                table[b] = rep_of[ci] if prow is None else {
-                    rep_of[k]: (-v) % p for k, v in prow.items() if k != ci
-                }
+                col_image[ci] = len(reps)
+                reps.append(key)
+        while red.pivots:  # frees each pivot row once converted
+            ci, prow = red.pivots.popitem()
+            img = {col_image[k]: (-v) % p for k, v in prow.items() if k != ci}
+            # a pivot that rewrites to one representative is stored as that index
+            col_image[ci] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
+        images = [None if table is None else [col_image[ci] for ci in table] for table in images]
         self._images.append(images)
         self._reps.append(reps)
 

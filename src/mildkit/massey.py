@@ -692,10 +692,16 @@ def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) ->
     diagonal map, find psi pairing nontrivially against chi^(n-1), send chi
     to the last coordinate, and check the criterion with V = span(chi),
     e = 1.  One-generator groups of Demuškin type are finite cyclic."""
+    return _demuskin(P, cutoff, budget, "Demuškin mildness")[1]
+
+
+def _demuskin(P: Presentation, cutoff: int, budget: int, what="Demuškin-type analysis"):
+    """The Demuškin-type report and the mildness verdict, off one tensor."""
     if P.m != 1:
-        raise ValueError(f"Demuškin mildness needs exactly one relator, got {P.m}")
+        raise ValueError(f"{what} needs exactly one relator, got {P.m}")
     T = _z_tensor(P, cutoff)
-    return _demuskin_mildness(T, _demuskin_type(T, budget))
+    report = _demuskin_type(T, budget)
+    return report, _demuskin_mildness(T, report)
 
 
 def _demuskin_mildness(T: MasseyTensor, report: DemuskinTypeReport) -> MildVerdict:

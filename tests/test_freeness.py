@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_poly
 from mildkit import Context, IntSeries, initial_form
@@ -17,15 +18,14 @@ from mildkit.freeness import (
     combinatorially_free,
     denominator_series,
     dimension_series,
-    enumerate_basis,
-    ideal_slice,
     quotient_dimensions,
     series_admissibility,
-    slice_rank,
     strongly_free_oracle,
     target_series,
 )
+from mildkit.linalg import RowReducer
 from mildkit.orders import DegLexOrder, UOrder
+from reference_slice import enumerate_basis, ideal_slice, slice_rank
 
 CTX2 = Context(2, 2)
 CTX3 = Context(2, 3)
@@ -221,6 +221,89 @@ def test_representatives_weighted_column_order():
         (2, 2, 1, 2, 2), (2, 2, 2, 1, 2), (2, 2, 2, 2, 1), (2, 2, 2, 2, 2, 2),
     ]
     assert all(m.tau_degree == 6 for m in q.representatives(6))
+
+
+def test_representatives_length_lex_under_mixed_weights():
+    # words of one degree differ in length under unequal weights, which
+    # exercises the integer coding of words at every length
+    rng = random.Random(25)
+    for trial in range(30):
+        d = rng.randint(1, 5)
+        ctx = Context(rng.choice([2, 3, 5]), d, tuple(rng.randint(1, 3) for _ in range(d)))
+        rhos = []
+        for _ in range(rng.randint(0, 2)):
+            basis = enumerate_basis(ctx, rng.randint(1, 3))
+            items = [(m, rng.randint(1, ctx.p - 1)) for m in basis if rng.random() < 0.4]
+            if items:
+                rhos.append(ctx.poly(items))
+        q = GradedQuotient(ctx, rhos)
+        free = GradedQuotient(ctx, [])
+        for n in range(9):
+            if dimension_series(ctx, n)[n] > 2000:
+                break
+            words = [m.letters for m in q.representatives(n)]
+            keys = [(len(w), w) for w in words]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(m.tau_degree == n for m in q.representatives(n))
+            assert free.representatives(n) == enumerate_basis(ctx, n)
+
+
+@st.composite
+def weighted_relators(draw):
+    """p in {2, 3, 5}, d <= 4, weights <= 2, one to three homogeneous
+    relators of weighted degree <= 3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 4))
+    ctx = Context(p, d, tuple(draw(st.lists(st.integers(1, 2), min_size=d, max_size=d))))
+    rhos = []
+    for _ in range(draw(st.integers(1, 3))):
+        basis = enumerate_basis(ctx, draw(st.integers(1, 3)))
+        if not basis:
+            continue
+        terms = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(terms), max_size=len(terms)))
+        rhos.append(ctx.poly(list(zip(terms, coeffs))))
+    return ctx, rhos
+
+
+# cubic relators over F_3: at n = 6 a term table pushes a vector with a
+# coefficient 2 through an image table entry that is itself a pivot image
+CUBIC_F3 = Context(3, 2)
+CUBIC_F3_RELATORS = [
+    CUBIC_F3.poly([((1, 2, 1), 1), ((2, 1, 2), 2), ((2, 2, 2), 1)]),
+    CUBIC_F3.poly([((2, 2, 1), 1), ((2, 2, 2), 1)]),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weighted_relators())
+@example((CUBIC_F3, CUBIC_F3_RELATORS))
+def test_quotient_dimensions_match_reference_slice(case):
+    ctx, rhos = case
+    assume(rhos)
+    free = dimension_series(ctx, 6)
+    N = max(n for n in range(7) if free[n] <= 300)
+    dims = quotient_dimensions(ctx, rhos, N)
+    for n in range(N + 1):
+        assert dims[n] == free[n] - slice_rank(ctx, ideal_slice(ctx, rhos, n))
+
+
+@pytest.mark.parametrize("fname", ["circuit_d4.pres", "demuskin_p3.pres"])
+def test_one_reducer_add_per_quotient_row(monkeypatch, fname):
+    # one RowReducer.add per beta * rho_i, beta a representative of degree
+    # n - sigma_i: sum_i b_{n - sigma_i} adds in degree n
+    calls = []
+    original = RowReducer.add
+
+    def counted(self, row):
+        calls.append(None)
+        return original(self, row)
+
+    monkeypatch.setattr(RowReducer, "add", counted)
+    ctx, forms = _corpus_forms(fname)
+    q = GradedQuotient(ctx, forms)
+    b = q.dimensions(8)
+    assert len(calls) == sum(b[n - sigma] for n in range(9) for sigma in q.sigmas if n >= sigma)
 
 
 def test_negative_degree_rejected():

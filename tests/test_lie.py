@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from mildkit import Context
-from mildkit.freeness import enumerate_basis
 from mildkit.lie import (
     NotInRestrictedLieError,
     expand_to_assoc,
@@ -21,6 +20,7 @@ from mildkit.lie import (
 )
 from mildkit.linalg import RowReducer
 from mildkit.magnus import initial_form
+from reference_slice import enumerate_basis
 
 
 def brute_lyndon_count(d, n):

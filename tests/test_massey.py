@@ -1,11 +1,14 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import mildkit.magnus
 import mildkit.massey
+from mildkit.cli import main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
 from mildkit.freeness import PROVEN, CONSISTENT, anick_check, strongly_free_oracle
 from mildkit.lie import hall_basis, hall_to_group_word
@@ -28,6 +31,8 @@ from mildkit.massey import (
     _subset_permutation,
 )
 from mildkit.orders import UOrder
+
+PRES = Path(__file__).resolve().parent.parent / "presentations"
 
 NAMES = {1: ["x"], 2: ["x1", "x2"], 3: ["x1", "x2", "x3"], 4: ["x1", "x2", "x3", "x4"]}
 
@@ -512,6 +517,14 @@ def test_one_relator_expands_once_per_weight_vector(expand_calls):
     ]
 
 
+def test_demuskin_command_reads_one_tensor(expand_calls, capsys):
+    # the type report and the mildness verdict share one expansion
+    code = cli_main(["demuskin", str(PRES / "demuskin_p3.pres"), "--cutoff", "8", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == MILD
+    assert [cutoff for _, _, cutoff in expand_calls if cutoff == 8] == [8]
+
+
 # -- search and direct check agree ---------------------------------------------------
 
 
@@ -543,3 +556,4 @@ def test_search_certificate_matches_direct_check(P):
         direct = check_mild(P, verdict.certificate.decomposition)
         assert direct.is_mild
         assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
+
