@@ -296,7 +296,6 @@ class GradedQuotient:
     def _extend(self):
         n = len(self._reps)
         ctx = self.ctx
-        p = ctx.p
         base = ctx.d + 1
         # coordinates of A_n modulo sum_j R_{n - tau_j} X_j: one column per
         # beta_b * X_j, beta_b a representative of degree n - tau_j, keyed
@@ -317,7 +316,7 @@ class GradedQuotient:
         nrows = sum(len(self._reps[n - sigma]) for sigma in self.sigmas if n >= sigma)
         check_budget(nrows, len(keys), self.budget)
 
-        red = RowReducer(p)
+        red = RowReducer(ctx.p)
         for terms, sigma in zip(self._terms, self.sigmas):
             k = n - sigma
             if k < 0:
@@ -333,7 +332,6 @@ class GradedQuotient:
                         for ci, v in img.items():
                             row[ci] = row.get(ci, 0) + c * v
                 red.add(row)  # reduces mod p and drops zero entries
-        red.finalize()
 
         # column index -> its image in the degree-n basis
         col_image: list = [None] * len(keys)
@@ -342,9 +340,11 @@ class GradedQuotient:
             if ci not in red.pivots:
                 col_image[ci] = len(reps)
                 reps.append(key)
-        while red.pivots:  # frees each pivot row once converted
-            ci, prow = red.pivots.popitem()
-            img = {col_image[k]: (-v) % p for k, v in prow.items() if k != ci}
+        # a pivot's tail only touches larger columns, so in decreasing order
+        # each tail column is already imaged: this is the back-substitution
+        for ci in sorted(red.pivots, reverse=True):
+            prow = red.pivots.pop(ci)  # frees each pivot row once converted
+            img = self._push({k: -v for k, v in prow.items() if k != ci}, col_image)
             # a pivot that rewrites to one representative is stored as that index
             col_image[ci] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
         images = [None if table is None else [col_image[ci] for ci in table] for table in images]
@@ -355,6 +355,8 @@ class GradedQuotient:
 def quotient_dimensions(ctx: Context, rhos, N: int, budget=None) -> IntSeries:
     """Dimensions of A/(rhos) in degrees 0..N (equal to dim A_n minus the
     rank of the degree-n ideal slice)."""
+    if N < 0:
+        raise ValueError(f"degree must be >= 0, got {N}")
     if not rhos:
         return dimension_series(ctx, N)
     q = GradedQuotient(ctx, rhos, budget=budget)

@@ -32,7 +32,7 @@ class RowReducer:
         return len(self.pivots)
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """Reduce a row against the current pivots (the row is consumed)."""
+        """Reduce a copy of a row against the current pivots."""
         p = self.p
         row = {k: v % p for k, v in row.items() if v % p}
         while row:
@@ -55,37 +55,39 @@ class RowReducer:
         if not row:
             return None
         lead = min(row)
-        inv = pow(row[lead], -1, self.p)
-        self.pivots[lead] = {k: (v * inv) % self.p for k, v in row.items()}
+        if row[lead] != 1:  # normalise reduce's copy in place
+            inv = pow(row[lead], -1, self.p)
+            for k, v in row.items():
+                row[k] = v * inv % self.p
+        self.pivots[lead] = row
         return lead
 
     def reduce_fully(self, row: dict[int, int]) -> dict[int, int]:
         """Eliminate every pivot column present, not only the leading one.
         Terminates because pivot tails only touch larger columns."""
-        p = self.p
-        row = {k: v % p for k, v in row.items() if v % p}
-        while True:
-            hits = [k for k in row if k in self.pivots]
-            if not hits:
-                return row
+        row = {k: v % self.p for k, v in row.items() if v % self.p}
+        while hits := [k for k in row if k in self.pivots]:
             lead = min(hits)
-            c = row[lead]
-            for k, v in self.pivots[lead].items():
-                nv = (row.get(k, 0) - c * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+            self._subtract(row, row[lead], self.pivots[lead])
+        return row
 
     def finalize(self):
         """Back-substitute so every pivot row is reduced against all others
-        (reduced echelon form).  Tails then touch non-pivot columns only."""
+        (reduced echelon form).  Tails then touch non-pivot columns only.
+        In decreasing order each tail's pivot rows are final: one pass."""
         for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots.pop(lead)
-            tail = {k: v for k, v in row.items() if k != lead}
-            tail = self.reduce_fully(tail)
-            tail[lead] = 1
-            self.pivots[lead] = tail
+            row = self.pivots[lead]
+            for col in [k for k in row if k != lead and k in self.pivots]:
+                self._subtract(row, row[col], self.pivots[col])
+
+    def _subtract(self, row: dict[int, int], c: int, piv: dict[int, int]):
+        """row -= c * piv in place, dropping the entries that vanish."""
+        for k, v in piv.items():
+            nv = (row.get(k, 0) - c * v) % self.p
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
 
 
 def solve_combination(p: int, columns, target):
@@ -107,15 +109,11 @@ def solve_combination(p: int, columns, target):
     return [(-row.get(width + i, 0)) % p for i in range(len(columns))]
 
 
-def rank(p: int, rows) -> int:
-    red = RowReducer(p)
-    for row in rows:
-        red.add(dict(row))
-    return red.rank
-
-
 def dense_rank(p: int, matrix) -> int:
-    return rank(p, ({j: v for j, v in enumerate(row) if v % p} for row in matrix))
+    red = RowReducer(p)
+    for row in matrix:
+        red.add({j: v for j, v in enumerate(row) if v % p})
+    return red.rank
 
 
 def kernel_basis(p: int, matrix, ncols: int):
@@ -124,10 +122,9 @@ def kernel_basis(p: int, matrix, ncols: int):
     for row in matrix:
         red.add({j: v for j, v in enumerate(row) if v % p})
     red.finalize()
-    pivot_cols = set(red.pivots)
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in red.pivots:
             continue
         vec = [0] * ncols
         vec[free] = 1

@@ -247,6 +247,14 @@ def test_series_admissible_negative_degree(capsys):
     assert "degree must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["hilbert", "strongly-free"])
+def test_oracle_negative_degree(capsys, command):
+    assert main([command, str(PRES / "circuit_d4.pres"), "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("p", ["0", "4"])
 def test_hall_rejects_non_prime(capsys, p):
     assert main(["hall", "--d", "2", "--n", "4", "--p", p]) == 2

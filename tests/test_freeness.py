@@ -313,6 +313,84 @@ def test_negative_degree_rejected():
         q.dimension(-1)
     with pytest.raises(ValueError):
         q.representatives(-1)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        quotient_dimensions(CTX2, [CTX2.poly([((1, 1), 1)])], -1)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        quotient_dimensions(CTX2, [], -1)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        strongly_free_oracle(CTX2, [CTX2.poly([((1, 1), 1)])], -1)
+
+
+# pivot tails of several entries with non-unit coefficients over F_5, many of
+# them holding later pivot columns before the back-substitution
+TAILS_F5 = Context(5, 3)
+TAILS_F5_RELATORS = [
+    TAILS_F5.poly([((1, 2), 1), ((2, 1), 2), ((3, 3), 3)]),
+    TAILS_F5.poly([((2, 3), 4), ((3, 1), 1), ((1, 1), 2)]),
+]
+
+
+def _reference_degree(q, n, rows):
+    """Representatives and image tables of degree n the long way: the rows
+    reduced to reduced echelon form (each pivot's tail re-reduced, largest
+    pivot first), then every pivot row rewritten by its tail over the
+    non-pivot columns."""
+    ctx = q.ctx
+    base = ctx.d + 1
+    keys = sorted(w * base + j + 1 for j, t in enumerate(ctx.tau) if n >= t for w in q._reps[n - t])
+    red = RowReducer(ctx.p)
+    for row in rows:
+        red.add(row)
+    for lead in sorted(red.pivots, reverse=True):
+        tail = red.reduce_fully({k: v for k, v in red.pivots.pop(lead).items() if k != lead})
+        red.pivots[lead] = {**tail, lead: 1}
+    col_image = [None] * len(keys)
+    reps = []
+    for ci, key in enumerate(keys):
+        if ci not in red.pivots:
+            col_image[ci] = len(reps)
+            reps.append(key)
+    while red.pivots:
+        ci, prow = red.pivots.popitem()
+        img = {col_image[k]: (-v) % ctx.p for k, v in prow.items() if k != ci}
+        col_image[ci] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
+    images = [None if n < t else [col_image[ci] for ci, key in enumerate(keys) if key % base == j + 1]
+              for j, t in enumerate(ctx.tau)]
+    return reps, images
+
+
+@pytest.mark.parametrize("case", ["circuit_d4.pres", "demuskin_p3.pres", "tails_f5"])
+def test_fused_back_substitution_is_reduced_echelon_form(monkeypatch, case):
+    if case == "tails_f5":
+        ctx, forms, N = TAILS_F5, TAILS_F5_RELATORS, 7
+    else:
+        (ctx, forms), N = _corpus_forms(case), 8
+    reducers, rows, finalized = [], {}, []
+    original_init, original_add = RowReducer.__init__, RowReducer.add
+
+    def init(self, p):
+        original_init(self, p)
+        reducers.append(self)
+
+    def add(self, row):
+        rows.setdefault(self, []).append(dict(row))
+        return original_add(self, row)
+
+    monkeypatch.setattr(RowReducer, "__init__", init)
+    monkeypatch.setattr(RowReducer, "add", add)
+    monkeypatch.setattr(RowReducer, "finalize", lambda self: finalized.append(self))
+    q = GradedQuotient(ctx, forms)
+    q.dimensions(N)
+    monkeypatch.undo()
+    assert finalized == []
+    assert len(reducers) == N  # one reducer per degree 1..N
+    for n, red in enumerate(reducers, start=1):
+        reps, images = _reference_degree(q, n, rows.get(red, []))
+        assert q._reps[n] == reps
+        assert q._images[n] == images
+    if case == "tails_f5":
+        tails = [img for table in q._images[N] if table for img in table if type(img) is dict]
+        assert any(len(img) > 1 and set(img.values()) - {1} for img in tails)
 
 
 def _corpus_forms(fname):

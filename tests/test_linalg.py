@@ -53,6 +53,23 @@ def test_finalize_random_rref():
                 assert red.reduce_fully(dict(row)) == {}
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_add_normalises_without_touching_the_callers_row(p):
+    red = RowReducer(p)
+    row = {2: 2, 4: 1, 7: p - 1}
+    before = dict(row)
+    assert red.add(row) == 2
+    assert row == before
+    assert red.pivots[2][2] == 1
+    assert red.pivots[2] == {k: v * pow(2, -1, p) % p for k, v in before.items()}
+    # a row reduced against that pivot first keeps the caller's dict too
+    row = {2: 1, 3: p - 2, 4: 3}
+    before = dict(row)
+    lead = red.add(row)
+    assert row == before
+    assert red.pivots[lead][lead] == 1
+
+
 def test_solve_combination():
     cols = [{0: 1, 1: 1}, {1: 1}]
     assert solve_combination(5, cols, {0: 2, 1: 3}) == [2, 1]
