@@ -86,10 +86,6 @@ class Context:
     def __repr__(self):
         return f"Context(p={self.p}, d={self.d}, tau={self.tau})"
 
-    def unweighted(self) -> Context:
-        """The same (p, d) with all weights 1."""
-        return Context(self.p, self.d)
-
     def deg(self, letters) -> int:
         return sum(self.tau[i - 1] for i in letters)
 
@@ -99,9 +95,6 @@ class Context:
             if not 1 <= i <= self.d:
                 raise ValueError(f"generator index {i} out of range 1..{self.d}")
         return Monomial(letters, self.deg(letters))
-
-    def one_monomial(self) -> Monomial:
-        return Monomial((), 0)
 
     # -- polynomial constructors -------------------------------------------
 
@@ -117,7 +110,7 @@ class Context:
         return Poly(self, {})
 
     def one(self) -> Poly:
-        return Poly(self, {self.one_monomial(): 1 % self.p})
+        return Poly(self, {Monomial((), 0): 1 % self.p})
 
     def gen(self, i: int) -> Poly:
         return self.poly([((i,), 1)])
@@ -330,16 +323,6 @@ class IntSeries:
     def one(cls, cutoff: int) -> IntSeries:
         return cls((1,) + (0,) * cutoff)
 
-    @classmethod
-    def from_exponents(cls, exponents, cutoff: int, constant: int = 0) -> IntSeries:
-        """Series constant + sum_e t^e for a multiset of exponents <= cutoff."""
-        coeffs = [0] * (cutoff + 1)
-        coeffs[0] = constant
-        for e in exponents:
-            if 0 <= e <= cutoff:
-                coeffs[e] += 1
-        return cls(tuple(coeffs))
-
     def __add__(self, other: IntSeries) -> IntSeries:
         n = min(self.cutoff, other.cutoff)
         return IntSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
@@ -373,11 +356,6 @@ class IntSeries:
             acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
             out[k] = -c0 * acc
         return IntSeries(tuple(out))
-
-    def truncate(self, cutoff: int) -> IntSeries:
-        if cutoff > self.cutoff:
-            raise ValueError(f"cannot extend cutoff {self.cutoff} to {cutoff}")
-        return IntSeries(self.coeffs[: cutoff + 1])
 
     def __repr__(self):
         return f"IntSeries({list(self.coeffs)})"

@@ -1,5 +1,14 @@
-"""Command-line front end: presentation files, command dispatch, and the
+"""Command-line front end: presentation files, the command table, and the
 text/JSON output envelope.
+
+Each command is one row of COMMANDS: its name, its function, its help line
+and its arguments.  An argument named by a string is one of the flags in
+SHARED (the presentation file, --cutoff, --tau, --degree), declared there
+once; a (flag, keywords) pair is the command's own.  `main` starts the
+clock, builds one Invocation, calls the command and prints the envelope; a
+command only returns the envelope's fields.  An Invocation works out what
+the commands read, each once: the presentation, its weights, the cutoff
+and the relators' reduced expansions, by (weights, cutoff).
 
 Presentation file format::
 
@@ -27,7 +36,7 @@ import time
 from . import freeness, massey
 from .algebra import series_compare, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
-from .magnus import Presentation, expand, initial_form, omega, parse_word, word_to_text
+from .magnus import Presentation, _initial_form, expand, parse_word, word_to_text
 from .lie import hall_basis, restricted_basis
 from .orders import parse_order_spec
 
@@ -39,14 +48,25 @@ NEGATIVE_VERDICTS = {
     massey.CRITERION_FAILED,
     "mismatch",
     "not-demuskin-type",
-    "not-combinatorially-free",
-    "inconclusive",
 }
 
 
 # ---------------------------------------------------------------------------
 # presentation files
 # ---------------------------------------------------------------------------
+
+def split_list(value: str) -> list[str]:
+    return [t for t in value.replace(",", " ").split() if t]
+
+
+def int_list(value: str, what: str, line=None) -> tuple[int, ...]:
+    """The integers of a comma- or space-separated list; a ParseError
+    naming what the list is and its value when an entry is not one."""
+    try:
+        return tuple(int(t) for t in split_list(value))
+    except ValueError:
+        raise ParseError(f"{what} must be integers, got {value!r}", line=line) from None
+
 
 def parse_presentation_text(text: str) -> Presentation:
     p = None
@@ -55,9 +75,6 @@ def parse_presentation_text(text: str) -> Presentation:
     relators = []
     relator_names = set()
     in_relators = False
-
-    def split_list(value):
-        return [t for t in value.replace(",", " ").split() if t]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -83,10 +100,7 @@ def parse_presentation_text(text: str) -> Presentation:
                 if not names:
                     raise ParseError("empty generator list", line=lineno)
             elif key == "weights":
-                try:
-                    weights = tuple(int(t) for t in split_list(value))
-                except ValueError:
-                    raise ParseError(f"weights must be integers, got {value!r}", line=lineno)
+                weights = int_list(value, "weights", line=lineno)
             else:
                 raise ParseError(
                     f"unknown header key {key!r} (expected p, generators, weights, relators)",
@@ -129,6 +143,72 @@ def load_presentation(path: str) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
+# one invocation
+# ---------------------------------------------------------------------------
+
+class Invocation:
+    """What one command reads: the parsed arguments and the budget and,
+    for a command with a presentation file, the presentation, its weights
+    (--tau or the file's) and the relators' reduced expansions, each
+    worked out once.  The expansions live only as long as the invocation."""
+
+    def __init__(self, args, budget: int):
+        self.args = args
+        self.budget = budget
+        self._reduced: dict = {}
+        if not hasattr(args, "file"):
+            return
+        self.P = P = load_presentation(args.file)
+        self.tau = P.tau
+        if getattr(args, "tau", None) is not None:
+            self.tau = int_list(args.tau, "--tau")
+            if len(self.tau) != P.d:
+                raise ParseError(f"expected {P.d} weights, got {len(self.tau)}")
+        self.ctx = P.context(self.tau)
+
+    def reduced(self, cutoff: int, tau=None) -> list:
+        """The relators' expansions minus one at the weights tau (all 1 by
+        default), truncated past the cutoff; one expand call per relator
+        and (weights, cutoff)."""
+        key = (tau or (1,) * self.P.d, cutoff)
+        if key not in self._reduced:
+            ctx = self.P.context(key[0])
+            self._reduced[key] = [expand(w, ctx, cutoff).reduced for _, w in self.P.relators]
+        return self._reduced[key]
+
+    def cutoff(self) -> int:
+        """--cutoff, or else max(8, 2z) with z(G) read at cutoff 8."""
+        if getattr(self.args, "cutoff", None) is not None:
+            return self.args.cutoff
+        z = massey._z(self.reduced(8))
+        if z is None or z is massey.INFINITY:
+            return 8
+        return max(8, 2 * z)
+
+    def weighted_cutoff(self) -> int:
+        """The cutoff of the weighted initial forms: cutoff * max(tau)."""
+        return self.cutoff() * max(self.tau)
+
+    def initial_forms(self) -> dict:
+        """The relators' initial forms at the weights, by relator name."""
+        cutoff = self.weighted_cutoff()
+        reduced = self.reduced(cutoff, self.tau)
+        return {name: _initial_form(f, cutoff) for (name, _), f in zip(self.P.relators, reduced)}
+
+    def inputs(self, cutoff=None, **extra) -> dict:
+        out = {
+            "p": self.P.p,
+            "d": self.P.d,
+            "generators": list(self.P.names),
+            "weights": list(self.tau),
+        }
+        if cutoff is not None:
+            out["cutoff"] = cutoff
+        out.update(extra)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # envelope
 # ---------------------------------------------------------------------------
 
@@ -164,9 +244,9 @@ def _scalar(v):
     return str(v)
 
 
-def emit(args, command, inputs, result, verdict=None, certificate=None, witness=None, started=None):
+def emit(args, started, inputs, result, verdict=None, certificate=None, witness=None):
     envelope = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "result": result,
         "verdict": verdict,
@@ -177,7 +257,7 @@ def emit(args, command, inputs, result, verdict=None, certificate=None, witness=
     if args.json:
         print(json.dumps(envelope, indent=2, sort_keys=False))
     else:
-        print(f"== {command} ==")
+        print(f"== {args.command} ==")
         for line in _render_text({k: v for k, v in envelope.items() if k != "command"}):
             print(line)
     if args.strict and verdict in NEGATIVE_VERDICTS:
@@ -185,60 +265,18 @@ def emit(args, command, inputs, result, verdict=None, certificate=None, witness=
     return 0
 
 
-def _inputs(P: Presentation, cutoff=None, tau=None, extra=None):
-    out = {
-        "p": P.p,
-        "d": P.d,
-        "generators": list(P.names),
-        "weights": list(tau if tau is not None else P.tau),
-    }
-    if cutoff is not None:
-        out["cutoff"] = cutoff
-    if extra:
-        out.update(extra)
-    return out
-
-
-def _tau_arg(P, value):
-    if value is None:
-        return P.tau
-    tau = tuple(int(t) for t in value.replace(",", " ").split())
-    if len(tau) != P.d:
-        raise ParseError(f"expected {P.d} weights, got {len(tau)}")
-    return tau
-
-
-def _resolve_cutoff(P, value):
-    if value is not None:
-        return value
-    z = massey.zassenhaus_invariant(P, 8)
-    if z is None or z is massey.INFINITY:
-        return 8
-    return max(8, 2 * z)
-
-
-def _initial_forms(P, ctx, cutoff):
-    forms = []
-    for name, w in P.relators:
-        forms.append((name, initial_form(w, ctx, cutoff)))
-    return forms
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns the fields of its envelope
 # ---------------------------------------------------------------------------
 
-def cmd_expand(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    tau = _tau_arg(P, args.tau)
-    ctx = P.context(tau)
+def cmd_expand(run):
+    P, args = run.P, run.args
     picked = [r for r in P.relators if args.relator in (None, r[0])]
     if args.relator is not None and not picked:
         raise ParseError(f"no relator named {args.relator!r}")
     result = {}
     for name, w in picked:
-        poly = expand(w, ctx, args.degree).poly
+        poly = expand(w, run.ctx, args.degree).poly
         by_degree = {}
         for deg in poly.degrees():
             by_degree[str(deg)] = poly.homogeneous_component(deg).format(P.names)
@@ -246,150 +284,125 @@ def cmd_expand(args, budget):
             "word": word_to_text(w, P.names),
             "terms_by_degree": by_degree,
         }
-    return emit(args, "expand", _inputs(P, args.degree, tau), result, started=started)
+    return {"inputs": run.inputs(args.degree), "result": result}
 
 
-def cmd_zassenhaus(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    cutoff = _resolve_cutoff(P, args.cutoff)
-    vals = massey.relator_valuations(P, cutoff)
-    z = massey.zassenhaus_invariant(P, cutoff)
+def cmd_zassenhaus(run):
+    cutoff = run.cutoff()
+    reduced = run.reduced(cutoff)
+    z = massey._z(reduced)
     result = {
         "zassenhaus_invariant": "unknown(>%d)" % cutoff if z is None else
         ("infinity (free presentation)" if z is massey.INFINITY else z),
         "relator_valuations": {
-            name: (v if v is not None else f"unknown(>{cutoff})")
-            for (name, _), v in zip(P.relators, vals)
+            name: f"unknown(>{cutoff})" if f.is_zero else f.tau_valuation()
+            for (name, _), f in zip(run.P.relators, reduced)
         },
     }
     if z is None:
         result["note"] = "every relator expands to 1 at this cutoff; raise --cutoff"
-    return emit(args, "zassenhaus", _inputs(P, cutoff), result,
-                verdict="computed" if z is not None else "unknown", started=started)
+    return {"inputs": run.inputs(cutoff), "result": result,
+            "verdict": "computed" if z is not None else "unknown"}
 
 
-def cmd_initial_forms(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    tau = _tau_arg(P, args.tau)
-    cutoff = _resolve_cutoff(P, args.cutoff) * max(tau)
-    ctx = P.context(tau)
+def cmd_initial_forms(run):
+    cutoff = run.weighted_cutoff()
     result = {}
-    for name, w in P.relators:
-        val = omega(w, ctx, cutoff)
-        if val is None:
+    for (name, _), f in zip(run.P.relators, run.reduced(cutoff, run.tau)):
+        if f.is_zero:
             result[name] = {"valuation": f"unknown(>{cutoff})"}
         else:
+            val = f.tau_valuation()
             result[name] = {
                 "valuation": val,
-                "initial_form": initial_form(w, ctx, cutoff).format(P.names),
+                "initial_form": f.homogeneous_component(val).format(run.P.names),
             }
-    return emit(args, "initial-forms", _inputs(P, cutoff, tau), result, started=started)
+    return {"inputs": run.inputs(cutoff), "result": result}
 
 
-def cmd_anick(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    tau = _tau_arg(P, args.tau)
-    cutoff = _resolve_cutoff(P, args.cutoff) * max(tau)
-    ctx = P.context(tau)
-    order = parse_order_spec(args.order, P.names, tau)
-    forms = _initial_forms(P, ctx, cutoff)
-    verdict = freeness.anick_check([f for _, f in forms], order)
+def cmd_anick(run):
+    names = run.P.names
+    order = parse_order_spec(run.args.order, names, run.tau)
+    forms = run.initial_forms()
+    verdict = freeness.anick_check(list(forms.values()), order)
     result = {
-        "initial_forms": {name: f.format(P.names) for name, f in forms},
+        "initial_forms": {name: f.format(names) for name, f in forms.items()},
         "order": order.describe(),
-        "verdict": verdict.as_dict(P.names),
+        "verdict": verdict.as_dict(names),
     }
-    return emit(args, "anick", _inputs(P, cutoff, tau), result,
-                verdict=verdict.status,
-                certificate=verdict.certificate.as_dict(P.names) if verdict.certificate else None,
-                started=started)
+    return {"inputs": run.inputs(run.weighted_cutoff()), "result": result,
+            "verdict": verdict.status,
+            "certificate": verdict.certificate.as_dict(names) if verdict.certificate else None}
 
 
-def cmd_hilbert(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    tau = _tau_arg(P, args.tau)
-    ctx = P.context(tau)
-    cutoff = _resolve_cutoff(P, None) * max(tau)
-    forms = _initial_forms(P, ctx, cutoff)
-    rhos = [f for _, f in forms]
+def cmd_hilbert(run):
+    degree = run.args.degree
+    forms = run.initial_forms()
+    rhos = list(forms.values())
     sigmas = [f.tau_valuation() for f in rhos]
-    actual = freeness.quotient_dimensions(ctx, rhos, args.degree, budget=budget)
-    target = freeness.target_series(tau, sigmas, args.degree)
+    actual = freeness.quotient_dimensions(run.ctx, rhos, degree, budget=run.budget)
+    target = freeness.target_series(run.tau, sigmas, degree)
     match = series_compare(actual, target) == EQUAL_TO_CUTOFF
     result = {
-        "initial_forms": {name: f.format(P.names) for name, f in forms},
+        "initial_forms": {name: f.format(run.P.names) for name, f in forms.items()},
         "actual": list(actual.coeffs),
         "target": list(target.coeffs),
-        "match_to_degree": args.degree if match else None,
+        "match_to_degree": degree if match else None,
         "verdict": "match" if match else "mismatch",
     }
-    return emit(args, "hilbert", _inputs(P, args.degree, tau), result,
-                verdict="match" if match else "mismatch", started=started)
+    return {"inputs": run.inputs(degree), "result": result, "verdict": result["verdict"]}
 
 
-def cmd_strongly_free(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    tau = _tau_arg(P, args.tau)
-    ctx = P.context(tau)
-    cutoff = _resolve_cutoff(P, None) * max(tau)
-    forms = _initial_forms(P, ctx, cutoff)
-    verdict = freeness.strongly_free_oracle(ctx, [f for _, f in forms], args.degree, budget=budget)
+def cmd_strongly_free(run):
+    degree = run.args.degree
+    forms = run.initial_forms()
+    verdict = freeness.strongly_free_oracle(run.ctx, list(forms.values()), degree, budget=run.budget)
     result = {
-        "initial_forms": {name: f.format(P.names) for name, f in forms},
-        "verdict": verdict.as_dict(P.names),
+        "initial_forms": {name: f.format(run.P.names) for name, f in forms.items()},
+        "verdict": verdict.as_dict(run.P.names),
     }
     witness = None
     if verdict.refuted:
         witness = {"at_degree": verdict.at_degree, "coefficient": verdict.witness_coefficient}
-    return emit(args, "strongly-free", _inputs(P, args.degree, tau), result,
-                verdict=verdict.status, witness=witness, started=started)
+    return {"inputs": run.inputs(degree), "result": result, "verdict": verdict.status,
+            "witness": witness}
 
 
-def cmd_mild(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    cutoff = _resolve_cutoff(P, args.cutoff)
+def cmd_mild(run):
+    P, args, cutoff = run.P, run.args, run.cutoff()
     if args.search:
-        verdict = massey.search_mild(P, cutoff)
+        verdict = massey._search_mild(P, run.reduced(cutoff), cutoff)
     else:
         if args.subset is None or args.e is None:
             raise ParseError("either --search or both --subset and --e are required")
         subset = []
-        for token in args.subset.replace(",", " ").split():
+        for token in split_list(args.subset):
             if token not in P.names:
                 raise ParseError(f"unknown generator {token!r} in --subset")
             subset.append(P.names.index(token) + 1)
         matrix = None
         if tuple(subset) != tuple(range(1, len(subset) + 1)):
             matrix = massey._subset_permutation(P.d, tuple(subset))
-        verdict = massey.check_mild(P, massey.Decomposition(len(subset), args.e, matrix), cutoff)
+        D = massey.Decomposition(len(subset), args.e, matrix)
+        verdict = massey._check_mild(P, D, run.reduced(cutoff), cutoff)
     result = verdict.as_dict(P.names)
-    note = "verdict depends only on the relator coefficients up to degree z(G)"
-    result["note"] = note
-    return emit(args, "mild", _inputs(P, cutoff), result, verdict=verdict.status,
-                certificate=verdict.certificate.as_dict(P.names) if verdict.certificate else None,
-                started=started)
+    result["note"] = "verdict depends only on the relator coefficients up to degree z(G)"
+    return {"inputs": run.inputs(cutoff), "result": result, "verdict": verdict.status,
+            "certificate": verdict.certificate.as_dict(P.names) if verdict.certificate else None}
 
 
-def cmd_massey(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    cutoff = _resolve_cutoff(P, args.cutoff)
+def cmd_massey(run):
+    P, args, cutoff = run.P, run.args, run.cutoff()
     n = args.n
     if n is None:
-        z = massey.zassenhaus_invariant(P, cutoff)
-        if z is None or z is massey.INFINITY:
+        n = massey._z(run.reduced(cutoff))
+        if n is None or n is massey.INFINITY:
             raise PrecisionError("cannot infer n: Zassenhaus invariant unknown or infinite")
-        n = z
-    T = massey.massey_tensor(P, n, cutoff)
+    # as in massey_tensor: at least degree 2, so that _tensor reports n < 2
+    T = massey._tensor(P, n, run.reduced(max(cutoff, n, 2)))
     result = {"tensor": T.as_dict()}
     if args.tuple:
-        tokens = args.tuple.replace(",", " ").split()
+        tokens = split_list(args.tuple)
         if len(tokens) != n:
             raise ParseError(f"--tuple needs {n} generator names, got {len(tokens)}")
         vectors = []
@@ -401,28 +414,28 @@ def cmd_massey(args, budget):
         value = massey.massey_value(T, vectors)
         result["tuple"] = tokens
         result["value"] = {name: v for name, v in zip(T.relator_names, value)}
-    return emit(args, "massey", _inputs(P, cutoff, extra={"n": n}), result, started=started)
+    return {"inputs": run.inputs(cutoff, n=n), "result": result}
 
 
-def cmd_demuskin(args, budget):
-    started = time.perf_counter()
-    P = load_presentation(args.file)
-    cutoff = _resolve_cutoff(P, args.cutoff)
-    report, verdict = massey._demuskin(P, cutoff, budget)
+def cmd_demuskin(run):
+    P, cutoff = run.P, run.cutoff()
+    massey._one_relator(P, "Demuškin-type analysis")
+    T = massey._z_tensor(P, run.reduced(cutoff), cutoff)
+    report = massey._demuskin_type(T, run.budget)
+    verdict = massey._demuskin_mildness(T, report)
     result = {
         "type": report.as_dict(),
         "mildness": verdict.as_dict(P.names),
     }
-    overall = verdict.status if report.is_type else "not-demuskin-type"
-    witness = None if report.is_type else {"chi": list(report.witness)}
-    return emit(args, "demuskin", _inputs(P, cutoff), result, verdict=overall,
-                certificate=verdict.certificate.as_dict(P.names) if verdict.certificate else None,
-                witness=witness, started=started)
+    return {"inputs": run.inputs(cutoff), "result": result,
+            "verdict": verdict.status if report.is_type else "not-demuskin-type",
+            "certificate": verdict.certificate.as_dict(P.names) if verdict.certificate else None,
+            "witness": None if report.is_type else {"chi": list(report.witness)}}
 
 
-def cmd_hall(args, budget):
-    started = time.perf_counter()
-    tau = tuple(int(t) for t in args.weights.replace(",", " ").split()) if args.weights else (1,) * args.d
+def cmd_hall(run):
+    args = run.args
+    tau = int_list(args.weights, "--weights") if args.weights else (1,) * args.d
     if len(tau) != args.d:
         raise ParseError(f"expected {args.d} weights, got {len(tau)}")
     inputs = {"d": args.d, "n": args.n, "weights": list(tau)}
@@ -433,14 +446,13 @@ def cmd_hall(args, budget):
     else:
         basis = [c for c in hall_basis(args.d, args.n, tau)]
         listing = [c.format() for c in basis]
-    result = {"size": len(basis), "elements": listing}
-    return emit(args, "hall", inputs, result, started=started)
+    return {"inputs": inputs, "result": {"size": len(basis), "elements": listing}}
 
 
-def cmd_series_admissible(args, budget):
-    started = time.perf_counter()
-    tau = tuple(int(t) for t in args.tau.replace(",", " ").split())
-    sigmas = [int(s) for s in args.sigma.replace(",", " ").split()]
+def cmd_series_admissible(run):
+    args = run.args
+    tau = int_list(args.tau, "--tau")
+    sigmas = list(int_list(args.sigma, "--sigma"))
     report = freeness.series_admissibility(tau, sigmas, args.degree)
     inputs = {"tau": list(tau), "sigma": sigmas, "degree": args.degree}
     result = report.as_dict()
@@ -448,13 +460,51 @@ def cmd_series_admissible(args, budget):
     witness = None
     if not report.admissible:
         witness = {"at_degree": report.at_degree, "coefficient": report.coefficient}
-    return emit(args, "series-admissible", inputs, result, verdict=report.status,
-                witness=witness, started=started)
+    return {"inputs": inputs, "result": result, "verdict": report.status, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and argument parsing
 # ---------------------------------------------------------------------------
+
+# the flags that several commands take, each declared once
+SHARED = {
+    "file": {"help": "presentation file"},
+    "--cutoff": {"type": int},
+    "--tau": {"help": "weights override, e.g. '2,1'"},
+    "--degree": {"type": int, "required": True},
+}
+
+# name, function, help line, arguments: a name from SHARED or (flag, keywords)
+COMMANDS = [
+    ("expand", cmd_expand, "Magnus expansion of the relators",
+     ["file", "--degree", "--tau", ("--relator", {"help": "restrict to one relator"})]),
+    ("zassenhaus", cmd_zassenhaus, "Zassenhaus invariant", ["file", "--cutoff"]),
+    ("initial-forms", cmd_initial_forms, "weighted valuations and initial forms",
+     ["file", "--cutoff", "--tau"]),
+    ("anick", cmd_anick, "high-term criterion for the initial forms",
+     ["file", ("--order", {"default": "deglex",
+                           "help": "deglex[:x1<x3<x2] or u-order:U=x1,x2[;x1<x2<x3]"}),
+      "--cutoff", "--tau"]),
+    ("hilbert", cmd_hilbert, "quotient dimensions vs the extremal series",
+     ["file", "--degree", "--tau"]),
+    ("strongly-free", cmd_strongly_free, "series oracle for the initial forms",
+     ["file", "--degree", "--tau"]),
+    ("mild", cmd_mild, "decomposition criterion for mildness",
+     ["file", ("--subset", {"help": "generators spanning U, e.g. 'x1,x2'"}), ("--e", {"type": int}),
+      ("--search", {"action": "store_true", "help": "search all coordinate subsets"}), "--cutoff"]),
+    ("massey", cmd_massey, "Massey tensor and optional value on a tuple",
+     ["file", ("--n", {"type": int}), ("--tuple", {"help": "basis tuple, e.g. 'x1,x3,x3'"}),
+      "--cutoff"]),
+    ("demuskin", cmd_demuskin, "Demuškin-type analysis of a one-relator group",
+     ["file", "--cutoff"]),
+    ("hall", cmd_hall, "Hall basis listing",
+     [("--d", {"type": int, "required": True}), ("--n", {"type": int, "required": True}),
+      ("--p", {"type": int}), ("--weights", {})]),
+    ("series-admissible", cmd_series_admissible, "sign check of the extremal series",
+     [("--tau", {"required": True}), ("--sigma", {"required": True}), "--degree"]),
+]
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -469,66 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix-entry budget (default %d or MILDKIT_BUDGET)" % DEFAULT_BUDGET)
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, with_file=True):
+    for name, fn, help_text, arguments in COMMANDS:
         sp = sub.add_parser(name, parents=[common], help=help_text)
-        if with_file:
-            sp.add_argument("file", help="presentation file")
         sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("expand", cmd_expand, "Magnus expansion of the relators")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--tau", help="weights override, e.g. '2,1'")
-    sp.add_argument("--relator", help="restrict to one relator")
-
-    sp = add("zassenhaus", cmd_zassenhaus, "Zassenhaus invariant")
-    sp.add_argument("--cutoff", type=int)
-
-    sp = add("initial-forms", cmd_initial_forms, "weighted valuations and initial forms")
-    sp.add_argument("--cutoff", type=int)
-    sp.add_argument("--tau")
-
-    sp = add("anick", cmd_anick, "high-term criterion for the initial forms")
-    sp.add_argument("--order", default="deglex",
-                    help="deglex[:x1<x3<x2] or u-order:U=x1,x2[;x1<x2<x3]")
-    sp.add_argument("--cutoff", type=int)
-    sp.add_argument("--tau")
-
-    sp = add("hilbert", cmd_hilbert, "quotient dimensions vs the extremal series")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--tau")
-
-    sp = add("strongly-free", cmd_strongly_free, "series oracle for the initial forms")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--tau")
-
-    sp = add("mild", cmd_mild, "decomposition criterion for mildness")
-    sp.add_argument("--subset", help="generators spanning U, e.g. 'x1,x2'")
-    sp.add_argument("--e", type=int)
-    sp.add_argument("--search", action="store_true", help="search all coordinate subsets")
-    sp.add_argument("--cutoff", type=int)
-
-    sp = add("massey", cmd_massey, "Massey tensor and optional value on a tuple")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--tuple", help="basis tuple, e.g. 'x1,x3,x3'")
-    sp.add_argument("--cutoff", type=int)
-
-    sp = add("demuskin", cmd_demuskin, "Demuškin-type analysis of a one-relator group")
-    sp.add_argument("--cutoff", type=int)
-
-    sp = add("hall", cmd_hall, "Hall basis listing", with_file=False)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--weights")
-
-    sp = add("series-admissible", cmd_series_admissible,
-             "sign check of the extremal series", with_file=False)
-    sp.add_argument("--tau", required=True)
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--degree", type=int, required=True)
-
+        for arg in arguments:
+            flag, keywords = (arg, SHARED[arg]) if isinstance(arg, str) else arg
+            sp.add_argument(flag, **keywords)
     return parser
 
 
@@ -541,13 +537,13 @@ def _env_budget() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         budget = args.budget
         if budget is None:
             budget = _env_budget()
-        return args.fn(args, budget)
+        return emit(args, started, **args.fn(Invocation(args, budget)))
     except (BudgetError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

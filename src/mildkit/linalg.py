@@ -62,32 +62,21 @@ class RowReducer:
         self.pivots[lead] = row
         return lead
 
-    def reduce_fully(self, row: dict[int, int]) -> dict[int, int]:
-        """Eliminate every pivot column present, not only the leading one.
-        Terminates because pivot tails only touch larger columns."""
-        row = {k: v % self.p for k, v in row.items() if v % self.p}
-        while hits := [k for k in row if k in self.pivots]:
-            lead = min(hits)
-            self._subtract(row, row[lead], self.pivots[lead])
-        return row
-
     def finalize(self):
         """Back-substitute so every pivot row is reduced against all others
         (reduced echelon form).  Tails then touch non-pivot columns only.
         In decreasing order each tail's pivot rows are final: one pass."""
+        p = self.p
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
             for col in [k for k in row if k != lead and k in self.pivots]:
-                self._subtract(row, row[col], self.pivots[col])
-
-    def _subtract(self, row: dict[int, int], c: int, piv: dict[int, int]):
-        """row -= c * piv in place, dropping the entries that vanish."""
-        for k, v in piv.items():
-            nv = (row.get(k, 0) - c * v) % self.p
-            if nv:
-                row[k] = nv
-            else:
-                row.pop(k, None)
+                c = row[col]
+                for k, v in self.pivots[col].items():
+                    nv = (row.get(k, 0) - c * v) % p
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
 
 
 def solve_combination(p: int, columns, target):

@@ -249,7 +249,11 @@ def omega(w: GroupWord, ctx: Context, cutoff: int):
 
 def initial_form(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
     """Lowest-degree homogeneous component of the expansion minus one."""
-    reduced = expand(w, ctx, cutoff).reduced
+    return _initial_form(expand(w, ctx, cutoff).reduced, cutoff)
+
+
+def _initial_form(reduced: Poly, cutoff: int) -> Poly:
+    """initial_form off the expansion minus one, truncated past the cutoff."""
     if reduced.is_zero:
         raise PrecisionError(
             f"no terms of weighted degree <= {cutoff}; increase precision "

@@ -31,30 +31,28 @@ NOT_APPLICABLE = "not-applicable"
 # Zassenhaus invariant
 # ---------------------------------------------------------------------------
 
-def _expansions(P: Presentation, cutoff: int):
+def _expansions(P: Presentation, cutoff: int) -> list:
     """The relators' unweighted expansions minus one, truncated past the
-    cutoff (one expand call per relator), and their minimum valuation, or
-    None when all are trivial.  Every coefficient of degree <= cutoff is
-    exact, so z(G) and each tensor slice up to the cutoff are read off
-    these polynomials."""
+    cutoff (one expand call per relator).  Every coefficient of degree <=
+    cutoff is exact, so z(G) and each tensor slice up to the cutoff are
+    read off these polynomials."""
     ctx = P.context(unweighted=True)
-    reduced = [expand(w, ctx, cutoff).reduced for _, w in P.relators]
-    return reduced, min((f.tau_valuation() for f in reduced if not f.is_zero), default=None)
+    return [expand(w, ctx, cutoff).reduced for _, w in P.relators]
 
 
-def relator_valuations(P: Presentation, cutoff: int) -> list:
-    """Unweighted valuations of the relators; None marks a relator whose
-    expansion is trivial to the cutoff (deeper than cutoff, or trivial)."""
-    return [None if f.is_zero else f.tau_valuation() for f in _expansions(P, cutoff)[0]]
+def _z(reduced):
+    """z(G) off the reduced expansions: their minimum valuation, INFINITY
+    when there are none (a free presentation), None when all are trivial."""
+    if not reduced:
+        return INFINITY
+    return min((f.tau_valuation() for f in reduced if not f.is_zero), default=None)
 
 
 def zassenhaus_invariant(P: Presentation, cutoff: int):
     """Largest n with every relator of valuation >= n: the minimum of the
     relator valuations.  INFINITY for a free presentation; None when the
     minimum is not visible at this cutoff."""
-    if P.m == 0:
-        return INFINITY
-    return _expansions(P, cutoff)[1]
+    return _z(_expansions(P, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,10 @@ def _slice(P: Presentation, reduced, n: int) -> MasseyTensor:
     return MasseyTensor(P.p, P.d, n, P.relator_names(), values)
 
 
-def _z_tensor(P: Presentation, cutoff: int) -> MasseyTensor:
-    """The tensor at n = z(G), from one expansion of each relator."""
-    reduced, z = _expansions(P, cutoff)
+def _z_tensor(P: Presentation, reduced, cutoff: int) -> MasseyTensor:
+    """The tensor at n = z(G), off the relators' reduced expansions at the
+    cutoff."""
+    z = _z(reduced)
     if z is None:
         raise PrecisionError(
             f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
@@ -143,9 +142,15 @@ def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
     """All length-n expansion coefficients of the relators.  Defined only
     for n <= the Zassenhaus invariant (the products are not uniquely
     defined beyond it)."""
+    # at least degree 2, so that expand takes the cutoff and _tensor reports n < 2
+    return _tensor(P, n, _expansions(P, max(cutoff or 0, n, 2)))
+
+
+def _tensor(P: Presentation, n: int, reduced) -> MasseyTensor:
+    """The length-n tensor off reduced expansions whose cutoff is >= n."""
     if n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
-    reduced, z = _expansions(P, max(cutoff or 0, n))
+    z = _z(reduced)
     if z is not None and n > z:
         raise ValueError(
             f"n = {n} exceeds the Zassenhaus invariant {z}; "
@@ -345,9 +350,13 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
     relator forms, and re-checks combinatorial freeness via the high-term
     criterion; the mild verdict is issued only if that check proves out.
     """
+    return _check_mild(P, D, _expansions(P, cutoff), cutoff)
+
+
+def _check_mild(P: Presentation, D: Decomposition, reduced, cutoff: int) -> MildVerdict:
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    return _decide(_z_tensor(P, cutoff), D)
+    return _decide(_z_tensor(P, reduced, cutoff), D)
 
 
 def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
@@ -444,9 +453,13 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     """Try the criterion over all coordinate-subset decompositions (and any
     user-supplied basis changes) and every admissible e; first success
     wins.  The subset space is 2^d-sized, so a case budget applies."""
+    return _search_mild(P, _expansions(P, cutoff), cutoff, max_cases, matrices)
+
+
+def _search_mild(P: Presentation, reduced, cutoff: int, max_cases: int = 4096, matrices=()) -> MildVerdict:
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    T = _z_tensor(P, cutoff)
+    T = _z_tensor(P, reduced, cutoff)
     n, d = T.n, P.d
     if n < 2 or d < 2:
         return MildVerdict(
@@ -540,6 +553,11 @@ class OneRelatorReport:
         }
 
 
+def _one_relator(P: Presentation, what: str):
+    if P.m != 1:
+        raise ValueError(f"{what} needs exactly one relator, got {P.m}")
+
+
 def one_relator_verdict(
     P: Presentation,
     cutoff: int = 8,
@@ -552,10 +570,10 @@ def one_relator_verdict(
     vectors, the p-power/commutator split, and (for z = p) the diagonal map
     and its kernel.  Mildness claims are one-directional; absence of a
     route is reported as inconclusive, never as a refutation."""
-    if P.m != 1:
-        raise ValueError(f"one-relator analysis needs exactly one relator, got {P.m}")
+    _one_relator(P, "one-relator analysis")
     name, w = P.relators[0]
-    reduced, z = _expansions(P, cutoff)
+    reduced = _expansions(P, cutoff)
+    z = _z(reduced)
     routes: list[str] = []
     notes = []
 
@@ -670,9 +688,8 @@ def demuskin_type(P: Presentation, cutoff: int = 8, budget: int = 200000) -> Dem
     there must be a slot position and a psi with a nonzero product on
     (chi, ..., psi, ..., chi).  Enumerates all p^d - 1 classes; refuses
     honestly when that exceeds the budget."""
-    if P.m != 1:
-        raise ValueError(f"Demuškin-type analysis needs exactly one relator, got {P.m}")
-    return _demuskin_type(_z_tensor(P, cutoff), budget)
+    _one_relator(P, "Demuškin-type analysis")
+    return _demuskin_type(_z_tensor(P, _expansions(P, cutoff), cutoff), budget)
 
 
 def _demuskin_type(T: MasseyTensor, budget: int) -> DemuskinTypeReport:
@@ -692,16 +709,9 @@ def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) ->
     diagonal map, find psi pairing nontrivially against chi^(n-1), send chi
     to the last coordinate, and check the criterion with V = span(chi),
     e = 1.  One-generator groups of Demuškin type are finite cyclic."""
-    return _demuskin(P, cutoff, budget, "Demuškin mildness")[1]
-
-
-def _demuskin(P: Presentation, cutoff: int, budget: int, what="Demuškin-type analysis"):
-    """The Demuškin-type report and the mildness verdict, off one tensor."""
-    if P.m != 1:
-        raise ValueError(f"{what} needs exactly one relator, got {P.m}")
-    T = _z_tensor(P, cutoff)
-    report = _demuskin_type(T, budget)
-    return report, _demuskin_mildness(T, report)
+    _one_relator(P, "Demuškin mildness")
+    T = _z_tensor(P, _expansions(P, cutoff), cutoff)
+    return _demuskin_mildness(T, _demuskin_type(T, budget))
 
 
 def _demuskin_mildness(T: MasseyTensor, report: DemuskinTypeReport) -> MildVerdict:

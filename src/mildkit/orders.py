@@ -10,21 +10,11 @@ multiplicative for any weight vector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import Monomial, check_weights
 from .errors import InternalInvariantError, ParseError
 
 LT, EQ, GT = -1, 0, 1
-
-
-@dataclass(frozen=True)
-class OrderStats:
-    """Subset-order statistics of a word: l_u counts letters outside U,
-    k_u sums the weighted degree of the prefix ending at each such letter."""
-
-    l_u: int
-    k_u: int
 
 
 class MonomialOrder:
@@ -107,7 +97,10 @@ class UOrder(MonomialOrder):
             raise ValueError(f"letter order {letter_order} is not a permutation of 1..{self.d}")
         self.rank = {letter: pos for pos, letter in enumerate(self.letter_order)}
 
-    def stats(self, m: Monomial) -> OrderStats:
+    def stats(self, m: Monomial) -> tuple[int, int]:
+        """Subset-order statistics (l_u, k_u) of a word: l_u counts letters
+        outside U, k_u sums the weighted degree of the prefix ending at each
+        such letter."""
         l_u = 0
         k_u = 0
         prefix_deg = 0
@@ -116,16 +109,14 @@ class UOrder(MonomialOrder):
             if letter not in self.u:
                 l_u += 1
                 k_u += prefix_deg
-        return OrderStats(l_u, k_u)
+        return l_u, k_u
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         if a.tau_degree != b.tau_degree:
             return LT if a.tau_degree < b.tau_degree else GT
         sa, sb = self.stats(a), self.stats(b)
-        if sa.l_u != sb.l_u:
-            return LT if sa.l_u < sb.l_u else GT
-        if sa.k_u != sb.k_u:
-            return LT if sa.k_u < sb.k_u else GT
+        if sa != sb:
+            return LT if sa < sb else GT
         return self._lex(a, b, self.rank)
 
     def describe(self) -> str:
@@ -148,19 +139,10 @@ def high_term(order: MonomialOrder, a) -> Monomial:
     return best
 
 
-@dataclass
-class MultiplicativityReport:
-    trials: int
-    counterexample: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexample is None
-
-
-def check_multiplicative(order, trials: int, max_len: int, seed: int) -> MultiplicativityReport:
+def check_multiplicative(order, trials: int, max_len: int, seed: int):
     """Randomized check of the two multiplicativity axioms: 1 < a for a != 1,
-    and a < a' implying b*a*c < b*a'*c.  Reports the first counterexample."""
+    and a < a' implying b*a*c < b*a'*c.  Returns the first counterexample,
+    or None when every trial passes."""
     rng = random.Random(seed)
     d = order.d
     tau = order.tau
@@ -174,7 +156,7 @@ def check_multiplicative(order, trials: int, max_len: int, seed: int) -> Multipl
     for _ in range(trials):
         a = rand_word(min_len=1)
         if order.compare(one, a) != LT:
-            return MultiplicativityReport(trials, ("one-minimal", a))
+            return ("one-minimal", a)
         a2 = rand_word(min_len=1)
         cmp = order.compare(a, a2)
         if cmp == EQ:
@@ -184,8 +166,8 @@ def check_multiplicative(order, trials: int, max_len: int, seed: int) -> Multipl
         b = rand_word()
         c = rand_word()
         if order.compare(b * a * c, b * a2 * c) != LT:
-            return MultiplicativityReport(trials, ("translation", a, a2, b, c))
-    return MultiplicativityReport(trials, None)
+            return ("translation", a, a2, b, c)
+    return None
 
 
 def parse_order_spec(spec: str, names, tau) -> MonomialOrder:

@@ -8,6 +8,24 @@ def random_monomial(rng: random.Random, ctx: Context, max_len=5) -> Monomial:
     return ctx.monomial(letters)
 
 
+def reduce_fully(red, row: dict[int, int]) -> dict[int, int]:
+    """Reference reduction of a row against a RowReducer's pivots: every
+    pivot column present is eliminated, not only the leading one.  It ends
+    because pivot tails only touch larger columns."""
+    p = red.p
+    row = {k: v % p for k, v in row.items() if v % p}
+    while hits := [k for k in row if k in red.pivots]:
+        lead = min(hits)
+        c = row[lead]
+        for k, v in red.pivots[lead].items():
+            nv = (row.get(k, 0) - c * v) % p
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
+    return row
+
+
 def random_poly(rng: random.Random, ctx: Context, max_terms=4, max_len=5):
     items = []
     for _ in range(rng.randint(0, max_terms)):

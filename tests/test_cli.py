@@ -1,17 +1,35 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import mildkit.cli
+import mildkit.magnus
+import mildkit.massey
 from mildkit.cli import load_presentation, main, parse_presentation_text
 from mildkit.errors import ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
 PRES = ROOT / "presentations"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's README commands that read a presentation file
+PRESENTATION_COMMANDS = [
+    argv for argv, _ in _load_workloads().CLI_COMMANDS if argv[1].endswith(".pres")
+]
 
 ENVELOPE_SCHEMA = {
     "type": "object",
@@ -295,6 +313,42 @@ def test_env_budget_override(capsys, monkeypatch):
     code = main(["hilbert", str(PRES / "circuit_d4.pres"), "--degree", "8", "--json"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["hall", "--d", "2", "--n", "3", "--weights", "1,x"], "--weights", "1,x"),
+        (["series-admissible", "--tau", "1,a", "--sigma", "2", "--degree", "4"], "--tau", "1,a"),
+        (["series-admissible", "--tau", "1,1", "--sigma", "2,b", "--degree", "4"], "--sigma", "2,b"),
+        (["initial-forms", str(PRES / "two_four.pres"), "--tau", "2,x"], "--tau", "2,x"),
+    ],
+)
+def test_integer_list_flags_name_the_flag(capsys, argv, flag, value):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be integers, got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", PRESENTATION_COMMANDS, ids=" ".join)
+def test_each_relator_expanded_once_per_weights_and_cutoff(monkeypatch, capsys, argv):
+    keys = []
+    original = mildkit.magnus.expand
+
+    def counted(w, ctx, cutoff):
+        keys.append((w, ctx.tau, cutoff))
+        return original(w, ctx, cutoff)
+
+    for module in (mildkit.magnus, mildkit.massey, mildkit.cli):
+        monkeypatch.setattr(module, "expand", counted)
+    monkeypatch.chdir(ROOT)
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    # cutoff 1 is the minimality check made while loading the presentation
+    counts = Counter(key for key in keys if key[2] != 1)
+    assert counts
+    assert [key for key, count in counts.items() if count > 1] == []
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import random_poly, reduce_fully
 from mildkit import Context, IntSeries, initial_form
 from mildkit.cli import load_presentation
 from mildkit.errors import BudgetError
@@ -342,7 +342,7 @@ def _reference_degree(q, n, rows):
     for row in rows:
         red.add(row)
     for lead in sorted(red.pivots, reverse=True):
-        tail = red.reduce_fully({k: v for k, v in red.pivots.pop(lead).items() if k != lead})
+        tail = reduce_fully(red, {k: v for k, v in red.pivots.pop(lead).items() if k != lead})
         red.pivots[lead] = {**tail, lead: 1}
     col_image = [None] * len(keys)
     reps = []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import reduce_fully
 from mildkit.errors import BudgetError
 from mildkit.linalg import (
     RowReducer,
@@ -50,7 +51,7 @@ def test_finalize_random_rref():
                 assert all(c == lead or c not in pivot_cols for c in row)
             # the reduced basis must still span the same rows
             for row in rows:
-                assert red.reduce_fully(dict(row)) == {}
+                assert reduce_fully(red, dict(row)) == {}
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import mildkit.cli
 import mildkit.magnus
 import mildkit.massey
 from mildkit.cli import main as cli_main
@@ -480,7 +481,7 @@ def test_verdicts_invariant_under_letter_permutations():
 
 @pytest.fixture
 def expand_calls(monkeypatch):
-    """Arguments of every expand call, through both of its bindings."""
+    """Arguments of every expand call, through each of its bindings."""
     calls = []
     original = mildkit.magnus.expand
 
@@ -490,6 +491,7 @@ def expand_calls(monkeypatch):
 
     monkeypatch.setattr(mildkit.magnus, "expand", counted)
     monkeypatch.setattr(mildkit.massey, "expand", counted)
+    monkeypatch.setattr(mildkit.cli, "expand", counted)
     return calls
 
 

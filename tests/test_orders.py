@@ -31,8 +31,8 @@ def test_uorder_rightward_statistic():
     # right makes the word larger
     order = UOrder({1}, (1, 1))
     assert order.compare(mono(CTX2, 2, 1), mono(CTX2, 1, 2)) == LT
-    assert order.stats(mono(CTX2, 2, 1)).k_u == 1
-    assert order.stats(mono(CTX2, 1, 2)).k_u == 2
+    assert order.stats(mono(CTX2, 2, 1))[1] == 1
+    assert order.stats(mono(CTX2, 1, 2))[1] == 2
 
 
 def test_deglex_degree_dominates():
@@ -54,17 +54,17 @@ def test_weighted_deglex_uses_tau_degree():
 
 def test_multiplicative_uorder():
     order = UOrder({1, 2}, (1, 1, 1))
-    assert check_multiplicative(order, 10000, 5, seed=101).ok
+    assert check_multiplicative(order, 10000, 5, seed=101) is None
 
 
 def test_multiplicative_deglex():
     order = DegLexOrder((1, 1, 1), (1, 3, 2))
-    assert check_multiplicative(order, 10000, 5, seed=102).ok
+    assert check_multiplicative(order, 10000, 5, seed=102) is None
 
 
 def test_multiplicative_weighted_orders():
-    assert check_multiplicative(DegLexOrder((2, 1)), 5000, 5, seed=103).ok
-    assert check_multiplicative(UOrder({2}, (3, 1, 2)), 5000, 5, seed=104).ok
+    assert check_multiplicative(DegLexOrder((2, 1)), 5000, 5, seed=103) is None
+    assert check_multiplicative(UOrder({2}, (3, 1, 2)), 5000, 5, seed=104) is None
 
 
 class PureLexOrder(MonomialOrder):
@@ -84,11 +84,11 @@ class PureLexOrder(MonomialOrder):
 
 
 def test_broken_order_caught():
-    report = check_multiplicative(PureLexOrder((1, 1)), 10000, 4, seed=105)
-    assert not report.ok
+    counterexample = check_multiplicative(PureLexOrder((1, 1)), 10000, 4, seed=105)
+    assert counterexample is not None
     # concrete failing transport: X1 < X1X1 but (X1)(X2) > (X1X1)(X2)...
     # the checker must exhibit some counterexample of either kind
-    assert report.counterexample[0] in ("one-minimal", "translation")
+    assert counterexample[0] in ("one-minimal", "translation")
 
 
 def test_circuit_high_terms_under_section3_order():
