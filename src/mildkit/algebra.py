@@ -5,6 +5,7 @@ first-nonzero-coefficient total order used for Poincaré series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,58 +44,48 @@ def check_weights(tau) -> tuple[int, ...]:
     return tau
 
 
+@dataclass(frozen=True, slots=True)
 class Context:
     """Ambient data for polynomial arithmetic: prime modulus p, number of
-    generators d, and the weight vector tau assigning deg X_i = tau_i.
+    generators d, and the weight vector tau assigning deg X_i = tau_i
+    (all 1 when omitted).
 
     Instances are immutable and compare by value; all polynomial
     operations require equal contexts on both operands.
     """
 
-    __slots__ = ("p", "d", "tau")
+    p: int
+    d: int
+    tau: tuple[int, ...] = None
 
-    def __init__(self, p: int, d: int, tau=None):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p > MAX_MODULUS:
-            raise ValueError(f"modulus {p} exceeds the supported bound {MAX_MODULUS}")
-        if d < 1:
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
+        if self.p > MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} exceeds the supported bound {MAX_MODULUS}")
+        if self.d < 1:
             raise ValueError("need at least one generator")
-        if tau is None:
-            tau = (1,) * d
-        tau = check_weights(tau)
-        if len(tau) != d:
-            raise ValueError(f"expected {d} weights, got {len(tau)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
+        tau = check_weights((1,) * self.d if self.tau is None else self.tau)
+        if len(tau) != self.d:
+            raise ValueError(f"expected {self.d} weights, got {len(tau)}")
         object.__setattr__(self, "tau", tau)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Context is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Context)
-            and self.p == other.p
-            and self.d == other.d
-            and self.tau == other.tau
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.d, self.tau))
-
-    def __repr__(self):
-        return f"Context(p={self.p}, d={self.d}, tau={self.tau})"
-
-    def deg(self, letters) -> int:
-        return sum(self.tau[i - 1] for i in letters)
 
     def monomial(self, letters) -> Monomial:
         letters = tuple(letters)
         for i in letters:
             if not 1 <= i <= self.d:
                 raise ValueError(f"generator index {i} out of range 1..{self.d}")
-        return Monomial(letters, self.deg(letters))
+        return Monomial(letters, sum(self.tau[i - 1] for i in letters))
+
+    def decode(self, code: int, degree: int) -> Monomial:
+        """The monomial of an integer-coded word of the given degree: the
+        word X_{l_1}...X_{l_k} is l_1 (d+1)^(k-1) + ... + l_k, its letters
+        read as digits 1..d in base d + 1."""
+        letters = []
+        while code:
+            code, j = divmod(code, self.d + 1)
+            letters.append(j)
+        return Monomial(tuple(reversed(letters)), degree)
 
     # -- polynomial constructors -------------------------------------------
 
@@ -134,10 +125,6 @@ class Monomial:
         return len(self.letters)
 
     @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    @property
     def sort_key(self):
         """Canonical container key: (degree, length, letters). Storage order
         only; semantic comparisons live in the orders module."""
@@ -146,18 +133,10 @@ class Monomial:
     def format(self, names=None) -> str:
         if not self.letters:
             return "1"
-        parts = []
-        run_letter, run = self.letters[0], 1
-        for i in self.letters[1:]:
-            if i == run_letter:
-                run += 1
-            else:
-                parts.append((run_letter, run))
-                run_letter, run = i, 1
-        parts.append((run_letter, run))
         out = []
-        for letter, mult in parts:
+        for letter, run in itertools.groupby(self.letters):
             name = names[letter - 1] if names else f"X{letter}"
+            mult = len(list(run))
             out.append(name if mult == 1 else f"{name}^{mult}")
         return "*".join(out)
 
@@ -165,19 +144,14 @@ class Monomial:
         return f"Monomial({self.format()})"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Poly:
     """Sparse noncommutative polynomial over F_p: a map monomial -> nonzero
     coefficient in [1, p).  Immutable after construction.
     """
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: Context, terms: dict[Monomial, int]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    ctx: Context
+    terms: dict[Monomial, int]
 
     def _check(self, other: Poly):
         if self.ctx != other.ctx:
@@ -270,7 +244,7 @@ class Poly:
         out = []
         for m in self.monomials():
             c = self.terms[m]
-            if m.is_identity:
+            if not m.letters:
                 out.append(str(c))
             elif c == 1:
                 out.append(m.format(names))
@@ -283,7 +257,8 @@ class Poly:
 
 
 def mul_truncated(a: Poly, b: Poly, cutoff: int) -> Poly:
-    """Product with all terms of weighted degree > cutoff dropped."""
+    """The Poly-level truncated product: a * b with all terms of weighted
+    degree > cutoff dropped."""
     a._check(b)
     p = a.ctx.p
     terms: dict[Monomial, int] = {}

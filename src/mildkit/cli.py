@@ -8,7 +8,7 @@ once; a (flag, keywords) pair is the command's own.  `main` starts the
 clock, builds one Invocation, calls the command and prints the envelope; a
 command only returns the envelope's fields.  An Invocation works out what
 the commands read, each once: the presentation, its weights, the cutoff
-and the relators' reduced expansions, by (weights, cutoff).
+and the relators' expansions, by (weights, cutoff).
 
 Presentation file format::
 
@@ -149,13 +149,13 @@ def load_presentation(path: str) -> Presentation:
 class Invocation:
     """What one command reads: the parsed arguments and the budget and,
     for a command with a presentation file, the presentation, its weights
-    (--tau or the file's) and the relators' reduced expansions, each
-    worked out once.  The expansions live only as long as the invocation."""
+    (--tau or the file's) and the relators' expansions, each worked out
+    once.  The expansions live only as long as the invocation."""
 
     def __init__(self, args, budget: int):
         self.args = args
         self.budget = budget
-        self._reduced: dict = {}
+        self._expansions: dict = {}
         if not hasattr(args, "file"):
             return
         self.P = P = load_presentation(args.file)
@@ -166,21 +166,21 @@ class Invocation:
                 raise ParseError(f"expected {P.d} weights, got {len(self.tau)}")
         self.ctx = P.context(self.tau)
 
-    def reduced(self, cutoff: int, tau=None) -> list:
-        """The relators' expansions minus one at the weights tau (all 1 by
-        default), truncated past the cutoff; one expand call per relator
-        and (weights, cutoff)."""
+    def expansions(self, cutoff: int, tau=None) -> list:
+        """The relators' expansions at the weights tau (all 1 by default),
+        truncated past the cutoff; one expand call per relator and
+        (weights, cutoff)."""
         key = (tau or (1,) * self.P.d, cutoff)
-        if key not in self._reduced:
+        if key not in self._expansions:
             ctx = self.P.context(key[0])
-            self._reduced[key] = [expand(w, ctx, cutoff).reduced for _, w in self.P.relators]
-        return self._reduced[key]
+            self._expansions[key] = [expand(w, ctx, cutoff) for _, w in self.P.relators]
+        return self._expansions[key]
 
     def cutoff(self) -> int:
         """--cutoff, or else max(8, 2z) with z(G) read at cutoff 8."""
         if getattr(self.args, "cutoff", None) is not None:
             return self.args.cutoff
-        z = massey._z(self.reduced(8))
+        z = massey._z(self.expansions(8))
         if z is None or z is massey.INFINITY:
             return 8
         return max(8, 2 * z)
@@ -191,9 +191,8 @@ class Invocation:
 
     def initial_forms(self) -> dict:
         """The relators' initial forms at the weights, by relator name."""
-        cutoff = self.weighted_cutoff()
-        reduced = self.reduced(cutoff, self.tau)
-        return {name: _initial_form(f, cutoff) for (name, _), f in zip(self.P.relators, reduced)}
+        exps = self.expansions(self.weighted_cutoff(), self.tau)
+        return {name: _initial_form(e) for (name, _), e in zip(self.P.relators, exps)}
 
     def inputs(self, cutoff=None, **extra) -> dict:
         out = {
@@ -289,14 +288,14 @@ def cmd_expand(run):
 
 def cmd_zassenhaus(run):
     cutoff = run.cutoff()
-    reduced = run.reduced(cutoff)
-    z = massey._z(reduced)
+    exps = run.expansions(cutoff)
+    z = massey._z(exps)
     result = {
         "zassenhaus_invariant": "unknown(>%d)" % cutoff if z is None else
         ("infinity (free presentation)" if z is massey.INFINITY else z),
         "relator_valuations": {
-            name: f"unknown(>{cutoff})" if f.is_zero else f.tau_valuation()
-            for (name, _), f in zip(run.P.relators, reduced)
+            name: f"unknown(>{cutoff})" if e.valuation is None else e.valuation
+            for (name, _), e in zip(run.P.relators, exps)
         },
     }
     if z is None:
@@ -308,14 +307,13 @@ def cmd_zassenhaus(run):
 def cmd_initial_forms(run):
     cutoff = run.weighted_cutoff()
     result = {}
-    for (name, _), f in zip(run.P.relators, run.reduced(cutoff, run.tau)):
-        if f.is_zero:
+    for (name, _), e in zip(run.P.relators, run.expansions(cutoff, run.tau)):
+        if e.valuation is None:
             result[name] = {"valuation": f"unknown(>{cutoff})"}
         else:
-            val = f.tau_valuation()
             result[name] = {
-                "valuation": val,
-                "initial_form": f.homogeneous_component(val).format(run.P.names),
+                "valuation": e.valuation,
+                "initial_form": e.component(e.valuation).format(run.P.names),
             }
     return {"inputs": run.inputs(cutoff), "result": result}
 
@@ -371,7 +369,7 @@ def cmd_strongly_free(run):
 def cmd_mild(run):
     P, args, cutoff = run.P, run.args, run.cutoff()
     if args.search:
-        verdict = massey._search_mild(P, run.reduced(cutoff), cutoff)
+        verdict = massey._search_mild(P, run.expansions(cutoff), cutoff)
     else:
         if args.subset is None or args.e is None:
             raise ParseError("either --search or both --subset and --e are required")
@@ -384,7 +382,7 @@ def cmd_mild(run):
         if tuple(subset) != tuple(range(1, len(subset) + 1)):
             matrix = massey._subset_permutation(P.d, tuple(subset))
         D = massey.Decomposition(len(subset), args.e, matrix)
-        verdict = massey._check_mild(P, D, run.reduced(cutoff), cutoff)
+        verdict = massey._check_mild(P, D, run.expansions(cutoff), cutoff)
     result = verdict.as_dict(P.names)
     result["note"] = "verdict depends only on the relator coefficients up to degree z(G)"
     return {"inputs": run.inputs(cutoff), "result": result, "verdict": verdict.status,
@@ -395,11 +393,11 @@ def cmd_massey(run):
     P, args, cutoff = run.P, run.args, run.cutoff()
     n = args.n
     if n is None:
-        n = massey._z(run.reduced(cutoff))
+        n = massey._z(run.expansions(cutoff))
         if n is None or n is massey.INFINITY:
             raise PrecisionError("cannot infer n: Zassenhaus invariant unknown or infinite")
     # as in massey_tensor: at least degree 2, so that _tensor reports n < 2
-    T = massey._tensor(P, n, run.reduced(max(cutoff, n, 2)))
+    T = massey._tensor(P, n, run.expansions(max(cutoff, n, 2)))
     result = {"tensor": T.as_dict()}
     if args.tuple:
         tokens = split_list(args.tuple)
@@ -420,7 +418,7 @@ def cmd_massey(run):
 def cmd_demuskin(run):
     P, cutoff = run.P, run.cutoff()
     massey._one_relator(P, "Demuškin-type analysis")
-    T = massey._z_tensor(P, run.reduced(cutoff), cutoff)
+    T = massey._z_tensor(P, run.expansions(cutoff), cutoff)
     report = massey._demuskin_type(T, run.budget)
     verdict = massey._demuskin_mildness(T, report)
     result = {

@@ -256,15 +256,7 @@ class GradedQuotient:
 
     def representatives(self, n: int) -> list[Monomial]:
         self.dimension(n)
-        base = self.ctx.d + 1
-        out = []
-        for w in self._reps[n]:
-            letters = []
-            while w:
-                w, j = divmod(w, base)
-                letters.append(j)
-            out.append(Monomial(tuple(reversed(letters)), n))
-        return out
+        return [self.ctx.decode(w, n) for w in self._reps[n]]
 
     def _term_table(self, deg: int, letters, landing: list) -> list:
         """Entry b: the image of beta_b * X_letters, beta_b the b-th

@@ -2,9 +2,13 @@
 
 A word in the free group maps into the power-series algebra by sending
 each generator x_i to 1 + X_i; everything downstream (valuations, initial
-forms, Massey coefficients) reads off this expansion.  Negative exponents
-go through the truncated series inverse, so x * x^-1 collapses to 1
-exactly at every cutoff.
+forms, Massey coefficients) reads off this expansion.  It is computed in
+integers: a truncated series is a dict {(weighted degree, length): {word:
+coefficient}}, the word X_{l_1}...X_{l_k} coded l_1 (d+1)^(k-1) + ... + l_k
+as in GradedQuotient, so u.v is u (d+1)^len(v) + v and truncation skips
+whole buckets.  Generator powers have a closed form and inverses are
+structural ((w)^-e expands w^-1, [a, b]^-1 = [b, a]), so no series is ever
+inverted and x * x^-1 collapses to 1 exactly at every cutoff.
 
 Word grammar (also used by presentation files):
 
@@ -17,9 +21,10 @@ Whitespace between terms is optional and '*' is permitted as a separator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
-from .algebra import Context, Poly, check_weights, mul_truncated
+from .algebra import Context, Poly, check_weights
 from .errors import ParseError, PrecisionError
 
 
@@ -27,10 +32,9 @@ from .errors import ParseError, PrecisionError
 # word structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gen:
-    index: int
-    exponent: int = 1
+class _Atom:
+    """A factor of a word: a generator, a commutator or a parenthesized
+    subword, raised to a nonzero exponent."""
 
     def __post_init__(self):
         if self.exponent == 0:
@@ -38,26 +42,24 @@ class Gen:
 
 
 @dataclass(frozen=True)
-class Commutator:
+class Gen(_Atom):
+    index: int
+    exponent: int = 1
+
+
+@dataclass(frozen=True)
+class Commutator(_Atom):
     left: GroupWord
     right: GroupWord
     exponent: int = 1
 
-    def __post_init__(self):
-        if self.exponent == 0:
-            raise ValueError("zero exponent")
-
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Atom):
     """Parenthesized subword, possibly with an exponent (e.g. the inverse)."""
 
     word: GroupWord
     exponent: int = 1
-
-    def __post_init__(self):
-        if self.exponent == 0:
-            raise ValueError("zero exponent")
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,7 @@ class GroupWord:
         return GroupWord(self.factors + other.factors)
 
     def inverse(self) -> GroupWord:
-        out = []
-        for atom in reversed(self.factors):
-            if isinstance(atom, Gen):
-                out.append(Gen(atom.index, -atom.exponent))
-            elif isinstance(atom, Commutator):
-                out.append(Commutator(atom.left, atom.right, -atom.exponent))
-            else:
-                out.append(Sub(atom.word, -atom.exponent))
-        return GroupWord(tuple(out))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.factors
+        return GroupWord(tuple(replace(a, exponent=-a.exponent) for a in reversed(self.factors)))
 
     def max_index(self) -> int:
         top = 0
@@ -116,32 +106,24 @@ def substitute(w: GroupWord, images) -> GroupWord:
         if isinstance(atom, Gen):
             out.append(Sub(images[atom.index - 1], atom.exponent))
         elif isinstance(atom, Commutator):
-            out.append(
-                Commutator(
-                    substitute(atom.left, images),
-                    substitute(atom.right, images),
-                    atom.exponent,
-                )
-            )
+            left, right = substitute(atom.left, images), substitute(atom.right, images)
+            out.append(replace(atom, left=left, right=right))
         else:
-            out.append(Sub(substitute(atom.word, images), atom.exponent))
+            out.append(replace(atom, word=substitute(atom.word, images)))
     return GroupWord(tuple(out))
 
 
 def word_to_text(w: GroupWord, names=None) -> str:
-    def name(i):
-        return names[i - 1] if names else f"x{i}"
-
     def atom_text(atom):
         if isinstance(atom, Gen):
-            base = name(atom.index)
+            base = names[atom.index - 1] if names else f"x{atom.index}"
         elif isinstance(atom, Commutator):
             base = f"[{word_to_text(atom.left, names)}, {word_to_text(atom.right, names)}]"
         else:
             base = f"({word_to_text(atom.word, names)})"
         return base if atom.exponent == 1 else f"{base}^{atom.exponent}"
 
-    if w.is_empty:
+    if not w.factors:
         return "()"
     return " ".join(atom_text(a) for a in w.factors)
 
@@ -152,66 +134,119 @@ def word_to_text(w: GroupWord, names=None) -> str:
 
 @dataclass(frozen=True)
 class MagnusExpansion:
-    """Truncated Magnus expansion: all terms of weighted degree <= cutoff."""
+    """Truncated Magnus expansion: all terms of weighted degree <= cutoff,
+    kept as the kernel's degree buckets.  poly and reduced decode every
+    term; valuation and component(n) read one degree only."""
 
-    poly: Poly
+    ctx: Context
     cutoff: int
+    buckets: dict
+
+    @property
+    def poly(self) -> Poly:
+        return self._decode(lambda key: True)
 
     @property
     def reduced(self) -> Poly:
         """The expansion minus its constant term 1."""
-        one = self.poly.ctx.one()
-        return self.poly - one
+        return self._decode(lambda key: key[0] > 0)
+
+    @property
+    def valuation(self):
+        """Weighted valuation of the expansion minus one; None when that is
+        zero up to the cutoff (the word sits deeper, or is 1)."""
+        return min((deg for deg, _ in self.buckets if deg), default=None)
+
+    def component(self, n: int) -> Poly:
+        """The homogeneous component of weighted degree n."""
+        return self._decode(lambda key: key[0] == n)
+
+    def _decode(self, wanted) -> Poly:
+        decode = self.ctx.decode
+        return Poly(self.ctx, {decode(w, key[0]): c for key, terms in self.buckets.items()
+                               if wanted(key) for w, c in terms.items()})
 
 
-def _series_inverse(s: Poly, cutoff: int) -> Poly:
-    # s = 1 + h with val(h) >= 1; inverse is the geometric sum in (-h)
-    ctx = s.ctx
-    h = s - ctx.one()
-    acc = ctx.one()
-    term = ctx.one()
-    for _ in range(cutoff):
-        term = mul_truncated(term, h, cutoff)
-        if term.is_zero:
+_ONE = {(0, 0): {0: 1}}  # the series 1; kernel functions never mutate a series
+
+
+def _mul(ctx: Context, cutoff: int, *products) -> dict:
+    """The sum of c * a * b over the given (c, a, b), truncated past the
+    cutoff.  Bucket pairs past the cutoff are skipped, u.v is
+    u * (d+1)^len(v) + v, and each output bucket is reduced mod p once."""
+    out: dict = {}
+    for c, a, b in products:
+        for (da, la), ta in a.items():
+            for (db, lb), tb in b.items():
+                if da + db > cutoff:
+                    continue
+                shift = (ctx.d + 1) ** lb
+                acc = out.setdefault((da + db, la + lb), {})
+                get = acc.get
+                for u, cu in ta.items():
+                    u, cu = u * shift, c * cu
+                    for v, cv in tb.items():
+                        acc[u + v] = get(u + v, 0) + cu * cv
+    p = ctx.p
+    reduced = ((key, {w: r for w, c in terms.items() if (r := c % p)}) for key, terms in out.items())
+    return {key: terms for key, terms in reduced if terms}
+
+
+def _power(S: dict, e: int, ctx: Context, cutoff: int) -> dict:
+    """(1 + S)^e = sum_k C(e, k) S^k for e > 0 and S without constant term;
+    S^k vanishes past the cutoff for k large enough."""
+    products, Sk = [(1, _ONE, _ONE)], _ONE
+    for k in range(1, e + 1):
+        Sk = _mul(ctx, cutoff, (1, Sk, S))
+        if not Sk:
             break
-        acc = acc - term if _ % 2 == 0 else acc + term
-    return acc
+        products.append((math.comb(e, k), _ONE, Sk))
+    return _mul(ctx, cutoff, *products)
 
 
-def _series_power(s: Poly, e: int, cutoff: int) -> Poly:
-    if e < 0:
-        s = _series_inverse(s, cutoff)
-        e = -e
-    acc = s.ctx.one()
-    base = s
-    while e:
-        if e & 1:
-            acc = mul_truncated(acc, base, cutoff)
-        e >>= 1
-        if e:
-            base = mul_truncated(base, base, cutoff)
-    return acc
+def _gen_power(i: int, e: int, ctx: Context, cutoff: int) -> dict:
+    """(1 + X_i)^e in closed form: the coefficient of X_i^k (the word code
+    i...i) is C(e, k), and (-1)^k C(-e + k - 1, k) for e < 0."""
+    t, out, code = ctx.tau[i - 1], dict(_ONE), 0
+    for k in range(1, cutoff // t + 1):
+        code = code * (ctx.d + 1) + i
+        c = (math.comb(e, k) if e > 0 else (-1) ** k * math.comb(k - e - 1, k)) % ctx.p
+        if c:
+            out[(k * t, k)] = {code: c}
+    return out
 
 
-def _expand_atom(atom, ctx: Context, cutoff: int) -> Poly:
+def _commutator(a: GroupWord, b: GroupWord, ctx: Context, cutoff: int) -> dict:
+    """[a, b] = 1 + a^-1 b^-1 (AB - BA) with a = 1 + A and b = 1 + B.  A and
+    B have no terms below the least weight t, so they are read to cutoff - t,
+    and the inverses to cutoff minus the valuation of AB - BA."""
+    t = min(ctx.tau)
+    A, B = ({k: v for k, v in _expand_word(x, ctx, cutoff - t).items() if k[0]} for x in (a, b))
+    D = _mul(ctx, cutoff, (1, A, B), (-1, B, A))
+    if not D:
+        return _ONE
+    room = cutoff - min(deg for deg, _ in D)
+    out = _mul(ctx, cutoff, (1, _expand_word(b.inverse(), ctx, room), D))
+    return _mul(ctx, cutoff, (1, _ONE, _ONE), (1, _expand_word(a.inverse(), ctx, room), out))
+
+
+def _expand_atom(atom, ctx: Context, cutoff: int) -> dict:
+    e = atom.exponent
     if isinstance(atom, Gen):
-        base = ctx.one() + ctx.gen(atom.index).truncate(cutoff)
-        return _series_power(base, atom.exponent, cutoff)
-    if isinstance(atom, Commutator):
-        a = _expand_word(atom.left, ctx, cutoff)
-        b = _expand_word(atom.right, ctx, cutoff)
-        ai = _series_inverse(a, cutoff)
-        bi = _series_inverse(b, cutoff)
-        comm = mul_truncated(mul_truncated(ai, bi, cutoff), mul_truncated(a, b, cutoff), cutoff)
-        return _series_power(comm, atom.exponent, cutoff)
-    sub = _expand_word(atom.word, ctx, cutoff)
-    return _series_power(sub, atom.exponent, cutoff)
+        return _gen_power(atom.index, e, ctx, cutoff)
+    if isinstance(atom, Commutator):  # [a, b]^-1 = [b, a]
+        a, b = (atom.left, atom.right) if e > 0 else (atom.right, atom.left)
+        s = _commutator(a, b, ctx, cutoff)
+    else:
+        s = _expand_word(atom.word if e > 0 else atom.word.inverse(), ctx, cutoff)
+    return s if abs(e) == 1 else _power({k: v for k, v in s.items() if k[0]}, abs(e), ctx, cutoff)
 
 
-def _expand_word(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
-    acc = ctx.one()
+def _expand_word(w: GroupWord, ctx: Context, cutoff: int) -> dict:
+    acc = _ONE
     for atom in w.factors:
-        acc = mul_truncated(acc, _expand_atom(atom, ctx, cutoff), cutoff)
+        s = _expand_atom(atom, ctx, cutoff)
+        acc = s if acc is _ONE else _mul(ctx, cutoff, (1, acc, s))
     return acc
 
 
@@ -227,13 +262,12 @@ def expand(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
         raise ValueError(
             f"word uses generator index {w.max_index()} but the context has d = {ctx.d}"
         )
-    return MagnusExpansion(_expand_word(w, ctx, cutoff), cutoff)
+    return MagnusExpansion(ctx, cutoff, _expand_word(w, ctx, cutoff))
 
 
 def epsilon(w: GroupWord, index_tuple, ctx: Context) -> int:
     """Coefficient of X_{i_1} ... X_{i_k} in the Magnus expansion."""
-    letters = tuple(index_tuple)
-    mono = ctx.monomial(letters)
+    mono = ctx.monomial(index_tuple)
     cutoff = max(mono.tau_degree, 1)
     return expand(w, ctx, cutoff).poly.coefficient(mono)
 
@@ -241,25 +275,22 @@ def epsilon(w: GroupWord, index_tuple, ctx: Context) -> int:
 def omega(w: GroupWord, ctx: Context, cutoff: int):
     """Weighted valuation of the expansion minus one; None when the
     truncation is trivial (the word sits deeper than the cutoff, or is 1)."""
-    reduced = expand(w, ctx, cutoff).reduced
-    if reduced.is_zero:
-        return None
-    return reduced.tau_valuation()
+    return expand(w, ctx, cutoff).valuation
 
 
 def initial_form(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
     """Lowest-degree homogeneous component of the expansion minus one."""
-    return _initial_form(expand(w, ctx, cutoff).reduced, cutoff)
+    return _initial_form(expand(w, ctx, cutoff))
 
 
-def _initial_form(reduced: Poly, cutoff: int) -> Poly:
-    """initial_form off the expansion minus one, truncated past the cutoff."""
-    if reduced.is_zero:
+def _initial_form(e: MagnusExpansion) -> Poly:
+    """initial_form off an expansion already in hand."""
+    if e.valuation is None:
         raise PrecisionError(
-            f"no terms of weighted degree <= {cutoff}; increase precision "
+            f"no terms of weighted degree <= {e.cutoff}; increase precision "
             "(the word may also be trivial)"
         )
-    return reduced.homogeneous_component(reduced.tau_valuation())
+    return e.component(e.valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +331,7 @@ class _WordParser:
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            e = self.parse_int()
-            if isinstance(atom, Gen):
-                atom = Gen(atom.index, atom.exponent * e)
-            elif isinstance(atom, Commutator):
-                atom = Commutator(atom.left, atom.right, atom.exponent * e)
-            else:
-                atom = Sub(atom.word, atom.exponent * e)
+            atom = replace(atom, exponent=atom.exponent * self.parse_int())
         return atom
 
     def parse_atom(self):
@@ -391,8 +416,7 @@ class Presentation:
             seen.add(name)
         ctx = self.context(unweighted=True)  # validates the prime as well
         for name, w in self.relators:
-            red = expand(w, ctx, 1).reduced
-            if not red.is_zero:
+            if expand(w, ctx, 1).valuation is not None:
                 raise ValueError(
                     f"relator {name!r} has valuation 1: presentation is not minimal"
                 )

@@ -32,20 +32,20 @@ NOT_APPLICABLE = "not-applicable"
 # ---------------------------------------------------------------------------
 
 def _expansions(P: Presentation, cutoff: int) -> list:
-    """The relators' unweighted expansions minus one, truncated past the
-    cutoff (one expand call per relator).  Every coefficient of degree <=
-    cutoff is exact, so z(G) and each tensor slice up to the cutoff are
-    read off these polynomials."""
+    """The relators' unweighted expansions, truncated past the cutoff (one
+    expand call per relator).  Every coefficient of degree <= cutoff is
+    exact, so z(G) and each tensor slice up to the cutoff are read off
+    these expansions."""
     ctx = P.context(unweighted=True)
-    return [expand(w, ctx, cutoff).reduced for _, w in P.relators]
+    return [expand(w, ctx, cutoff) for _, w in P.relators]
 
 
-def _z(reduced):
-    """z(G) off the reduced expansions: their minimum valuation, INFINITY
-    when there are none (a free presentation), None when all are trivial."""
-    if not reduced:
+def _z(exps):
+    """z(G) off the expansions: their minimum valuation, INFINITY when
+    there are none (a free presentation), None when all are trivial."""
+    if not exps:
         return INFINITY
-    return min((f.tau_valuation() for f in reduced if not f.is_zero), default=None)
+    return min((e.valuation for e in exps if e.valuation is not None), default=None)
 
 
 def zassenhaus_invariant(P: Presentation, cutoff: int):
@@ -119,23 +119,25 @@ def _transform_values(values, matrix, p, d, n):
     return cur
 
 
-def _slice(P: Presentation, reduced, n: int) -> MasseyTensor:
-    values = tuple(
-        {m.letters: c for m, c in f.terms.items() if m.tau_degree == n} for f in reduced
-    )
-    return MasseyTensor(P.p, P.d, n, P.relator_names(), values)
+def _slice(P: Presentation, exps, n: int) -> MasseyTensor:
+    # in decreasing index order, so that a witness read off the tensor does
+    # not depend on the order in which an expansion produced its terms
+    values = []
+    for e in exps:
+        terms = ((m.letters, c) for m, c in e.component(n).terms.items())
+        values.append(dict(sorted(terms, reverse=True)))
+    return MasseyTensor(P.p, P.d, n, P.relator_names(), tuple(values))
 
 
-def _z_tensor(P: Presentation, reduced, cutoff: int) -> MasseyTensor:
-    """The tensor at n = z(G), off the relators' reduced expansions at the
-    cutoff."""
-    z = _z(reduced)
+def _z_tensor(P: Presentation, exps, cutoff: int) -> MasseyTensor:
+    """The tensor at n = z(G), off the relators' expansions at the cutoff."""
+    z = _z(exps)
     if z is None:
         raise PrecisionError(
             f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
             "(a trivial relator can never yield a finite invariant)"
         )
-    return _slice(P, reduced, z)
+    return _slice(P, exps, z)
 
 
 def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
@@ -146,17 +148,17 @@ def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
     return _tensor(P, n, _expansions(P, max(cutoff or 0, n, 2)))
 
 
-def _tensor(P: Presentation, n: int, reduced) -> MasseyTensor:
-    """The length-n tensor off reduced expansions whose cutoff is >= n."""
+def _tensor(P: Presentation, n: int, exps) -> MasseyTensor:
+    """The length-n tensor off expansions whose cutoff is >= n."""
     if n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
-    z = _z(reduced)
+    z = _z(exps)
     if z is not None and n > z:
         raise ValueError(
             f"n = {n} exceeds the Zassenhaus invariant {z}; "
             "the Massey product is not uniquely defined there"
         )
-    return _slice(P, reduced, n)
+    return _slice(P, exps, n)
 
 
 def massey_value(T: MasseyTensor, xs) -> list[int]:
@@ -353,10 +355,10 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
     return _check_mild(P, D, _expansions(P, cutoff), cutoff)
 
 
-def _check_mild(P: Presentation, D: Decomposition, reduced, cutoff: int) -> MildVerdict:
+def _check_mild(P: Presentation, D: Decomposition, exps, cutoff: int) -> MildVerdict:
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    return _decide(_z_tensor(P, reduced, cutoff), D)
+    return _decide(_z_tensor(P, exps, cutoff), D)
 
 
 def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
@@ -456,10 +458,10 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     return _search_mild(P, _expansions(P, cutoff), cutoff, max_cases, matrices)
 
 
-def _search_mild(P: Presentation, reduced, cutoff: int, max_cases: int = 4096, matrices=()) -> MildVerdict:
+def _search_mild(P: Presentation, exps, cutoff: int, max_cases: int = 4096, matrices=()) -> MildVerdict:
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    T = _z_tensor(P, reduced, cutoff)
+    T = _z_tensor(P, exps, cutoff)
     n, d = T.n, P.d
     if n < 2 or d < 2:
         return MildVerdict(
@@ -572,8 +574,8 @@ def one_relator_verdict(
     route is reported as inconclusive, never as a refutation."""
     _one_relator(P, "one-relator analysis")
     name, w = P.relators[0]
-    reduced = _expansions(P, cutoff)
-    z = _z(reduced)
+    exps = _expansions(P, cutoff)
+    z = _z(exps)
     routes: list[str] = []
     notes = []
 
@@ -593,18 +595,17 @@ def one_relator_verdict(
         taus.append(P.tau)
     taus.extend(tuple(t) for t in extra_taus)
     # one expansion per distinct weight vector, at cutoff * max(tau)
-    by_tau = {unweighted: reduced[0]}
+    by_tau = {unweighted: exps[0]}
     memberships = []
     for tau in taus:
-        ctx = P.context(tau)
         if tau not in by_tau:
-            by_tau[tau] = expand(w, ctx, cutoff * max(tau)).reduced
-        f = by_tau[tau]
-        if f.is_zero:
+            by_tau[tau] = expand(w, P.context(tau), cutoff * max(tau))
+        e = by_tau[tau]
+        val = e.valuation
+        if val is None:
             memberships.append(MembershipRecord(tau, None, None))
             continue
-        val = f.tau_valuation()
-        coords = lie_membership(f.homogeneous_component(val), val)
+        coords = lie_membership(e.component(val), val)
         memberships.append(MembershipRecord(tau, val, coords is not None, coords))
         if coords is not None:
             routes.append(f"initial form at tau = {tau} is a Lie polynomial")
@@ -612,11 +613,11 @@ def one_relator_verdict(
     split = None
     split_error = None
     try:
-        split = p_power_commutator_split(reduced[0].homogeneous_component(z), z)
+        split = p_power_commutator_split(exps[0].component(z), z)
     except NotInRestrictedLieError as exc:  # pragma: no cover - defensive
         split_error = str(exc)
 
-    T = _slice(P, reduced, z)
+    T = _slice(P, exps, z)
     bp_matrix = None
     bp_kernel = None
     if z == P.p and P.d >= 2:

@@ -1,6 +1,18 @@
+import importlib.util
 import random
+from pathlib import Path
 
 from mildkit import Context, Monomial
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_workloads():
+    """The benchmark's workload definitions, `perfbench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_monomial(rng: random.Random, ctx: Context, max_len=5) -> Monomial:

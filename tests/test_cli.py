@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ import pytest
 import mildkit.cli
 import mildkit.magnus
 import mildkit.massey
+from conftest import load_workloads
 from mildkit.cli import load_presentation, main, parse_presentation_text
 from mildkit.errors import ParseError
 
@@ -19,16 +19,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PRES = ROOT / "presentations"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # the benchmark's README commands that read a presentation file
 PRESENTATION_COMMANDS = [
-    argv for argv, _ in _load_workloads().CLI_COMMANDS if argv[1].endswith(".pres")
+    argv for argv, _ in load_workloads().CLI_COMMANDS if argv[1].endswith(".pres")
 ]
 
 ENVELOPE_SCHEMA = {

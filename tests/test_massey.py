@@ -559,3 +559,29 @@ def test_search_certificate_matches_direct_check(P):
         assert direct.is_mild
         assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
 
+
+def test_search_through_a_supplied_basis_change_matches_direct_check():
+    # at p = 2 no coordinate subset decomposes x1^2 x2^2, but the dual basis
+    # chi'_1 = chi_1, chi'_2 = chi_1 + chi_2 does
+    P = pres(2, 2, ["x1^2 x2^2"])
+    M = ((1, 0), (1, 1))
+    assert search_mild(P).status == CRITERION_FAILED
+    verdict = search_mild(P, matrices=[M])
+    assert verdict.is_mild
+    assert verdict.reason == "found by search: user matrix"
+    D = verdict.certificate.decomposition
+    assert D == Decomposition(1, 1, M)
+    direct = check_mild(P, Decomposition(D.c, D.e, M))
+    assert direct.status == verdict.status
+    assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
+
+
+def test_witness_does_not_depend_on_how_the_relator_is_written():
+    # [x2, x3] written as a commutator and as the product it stands for: the
+    # two expansions produce their terms in different orders
+    for text in ("[x2, x3]", "x2^-1 x3^-1 x2 x3"):
+        verdict = check_mild(pres(2, 3, ["[x1, x2]", text]), Decomposition(1, 1))
+        assert verdict.status == CRITERION_FAILED
+        assert verdict.reason == (
+            "condition (a) fails: relator r2 has a nonzero product on tuple (3, 2) with >= 2 entries in V"
+        )
