@@ -149,13 +149,12 @@ def load_presentation(path: str) -> Presentation:
 class Invocation:
     """What one command reads: the parsed arguments and the budget and,
     for a command with a presentation file, the presentation, its weights
-    (--tau or the file's) and the relators' expansions, each worked out
-    once.  The expansions live only as long as the invocation."""
+    (--tau or the file's) and the relators' expansions, which expand's
+    memo keeps."""
 
     def __init__(self, args, budget: int):
         self.args = args
         self.budget = budget
-        self._expansions: dict = {}
         if not hasattr(args, "file"):
             return
         self.P = P = load_presentation(args.file)
@@ -168,13 +167,9 @@ class Invocation:
 
     def expansions(self, cutoff: int, tau=None) -> list:
         """The relators' expansions at the weights tau (all 1 by default),
-        truncated past the cutoff; one expand call per relator and
-        (weights, cutoff)."""
-        key = (tau or (1,) * self.P.d, cutoff)
-        if key not in self._expansions:
-            ctx = self.P.context(key[0])
-            self._expansions[key] = [expand(w, ctx, cutoff) for _, w in self.P.relators]
-        return self._expansions[key]
+        truncated past the cutoff."""
+        ctx = self.P.context(tau or (1,) * self.P.d)
+        return [expand(w, ctx, cutoff) for _, w in self.P.relators]
 
     def cutoff(self) -> int:
         """--cutoff, or else max(8, 2z) with z(G) read at cutoff 8."""
@@ -369,7 +364,7 @@ def cmd_strongly_free(run):
 def cmd_mild(run):
     P, args, cutoff = run.P, run.args, run.cutoff()
     if args.search:
-        verdict = massey._search_mild(P, run.expansions(cutoff), cutoff)
+        verdict = massey.search_mild(P, cutoff)
     else:
         if args.subset is None or args.e is None:
             raise ParseError("either --search or both --subset and --e are required")
@@ -377,12 +372,14 @@ def cmd_mild(run):
         for token in split_list(args.subset):
             if token not in P.names:
                 raise ParseError(f"unknown generator {token!r} in --subset")
+            if P.names.index(token) + 1 in subset:
+                raise ParseError(f"duplicate generator {token!r} in --subset")
             subset.append(P.names.index(token) + 1)
         matrix = None
         if tuple(subset) != tuple(range(1, len(subset) + 1)):
             matrix = massey._subset_permutation(P.d, tuple(subset))
         D = massey.Decomposition(len(subset), args.e, matrix)
-        verdict = massey._check_mild(P, D, run.expansions(cutoff), cutoff)
+        verdict = massey.check_mild(P, D, cutoff)
     result = verdict.as_dict(P.names)
     result["note"] = "verdict depends only on the relator coefficients up to degree z(G)"
     return {"inputs": run.inputs(cutoff), "result": result, "verdict": verdict.status,
@@ -396,8 +393,7 @@ def cmd_massey(run):
         n = massey._z(run.expansions(cutoff))
         if n is None or n is massey.INFINITY:
             raise PrecisionError("cannot infer n: Zassenhaus invariant unknown or infinite")
-    # as in massey_tensor: at least degree 2, so that _tensor reports n < 2
-    T = massey._tensor(P, n, run.expansions(max(cutoff, n, 2)))
+    T = massey.massey_tensor(P, n, cutoff)
     result = {"tensor": T.as_dict()}
     if args.tuple:
         tokens = split_list(args.tuple)
@@ -433,6 +429,8 @@ def cmd_demuskin(run):
 
 def cmd_hall(run):
     args = run.args
+    if args.d < 1 or args.n < 1:
+        raise ParseError("need d >= 1 and n >= 1")
     tau = int_list(args.weights, "--weights") if args.weights else (1,) * args.d
     if len(tau) != args.d:
         raise ParseError(f"expected {args.d} weights, got {len(tau)}")

@@ -21,6 +21,7 @@ Whitespace between terms is optional and '*' is permitted as a separator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -135,8 +136,9 @@ def word_to_text(w: GroupWord, names=None) -> str:
 @dataclass(frozen=True)
 class MagnusExpansion:
     """Truncated Magnus expansion: all terms of weighted degree <= cutoff,
-    kept as the kernel's degree buckets.  poly and reduced decode every
-    term; valuation and component(n) read one degree only."""
+    kept as the kernel's degree buckets, which expand's memo shares and
+    nothing mutates.  poly and reduced decode every term into a new Poly;
+    valuation and component(n) read one degree only."""
 
     ctx: Context
     cutoff: int
@@ -254,7 +256,8 @@ def expand(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
     """Image of the word under x_i -> 1 + X_i, truncated past cutoff.
 
     The commutator convention is [a, b] = a^-1 b^-1 a b; mildness and
-    Demuškin-type verdicts are invariant under the choice.
+    Demuškin-type verdicts are invariant under the choice.  Expansions
+    are memoized per process and shared between callers: read only.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
@@ -262,6 +265,14 @@ def expand(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
         raise ValueError(
             f"word uses generator index {w.max_index()} but the context has d = {ctx.d}"
         )
+    return _expansion(w, ctx, cutoff)
+
+
+@functools.lru_cache(maxsize=128)
+def _expansion(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
+    """The memo below expand: the expansions of the 128 most recently used
+    (word, context, cutoff) keys.  A lower cutoff is computed anew, not read
+    off a higher one."""
     return MagnusExpansion(ctx, cutoff, _expand_word(w, ctx, cutoff))
 
 

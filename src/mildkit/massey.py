@@ -144,12 +144,8 @@ def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
     """All length-n expansion coefficients of the relators.  Defined only
     for n <= the Zassenhaus invariant (the products are not uniquely
     defined beyond it)."""
-    # at least degree 2, so that expand takes the cutoff and _tensor reports n < 2
-    return _tensor(P, n, _expansions(P, max(cutoff or 0, n, 2)))
-
-
-def _tensor(P: Presentation, n: int, exps) -> MasseyTensor:
-    """The length-n tensor off expansions whose cutoff is >= n."""
+    # at least degree 2, so that expand takes the cutoff and n < 2 is reported below
+    exps = _expansions(P, max(cutoff or 0, n, 2))
     if n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
     z = _z(exps)
@@ -352,13 +348,9 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
     relator forms, and re-checks combinatorial freeness via the high-term
     criterion; the mild verdict is issued only if that check proves out.
     """
-    return _check_mild(P, D, _expansions(P, cutoff), cutoff)
-
-
-def _check_mild(P: Presentation, D: Decomposition, exps, cutoff: int) -> MildVerdict:
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    return _decide(_z_tensor(P, exps, cutoff), D)
+    return _decide(_z_tensor(P, _expansions(P, cutoff), cutoff), D)
 
 
 def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
@@ -455,13 +447,9 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     """Try the criterion over all coordinate-subset decompositions (and any
     user-supplied basis changes) and every admissible e; first success
     wins.  The subset space is 2^d-sized, so a case budget applies."""
-    return _search_mild(P, _expansions(P, cutoff), cutoff, max_cases, matrices)
-
-
-def _search_mild(P: Presentation, exps, cutoff: int, max_cases: int = 4096, matrices=()) -> MildVerdict:
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    T = _z_tensor(P, exps, cutoff)
+    T = _z_tensor(P, _expansions(P, cutoff), cutoff)
     n, d = T.n, P.d
     if n < 2 or d < 2:
         return MildVerdict(
@@ -594,13 +582,9 @@ def one_relator_verdict(
     if P.tau != unweighted:
         taus.append(P.tau)
     taus.extend(tuple(t) for t in extra_taus)
-    # one expansion per distinct weight vector, at cutoff * max(tau)
-    by_tau = {unweighted: exps[0]}
     memberships = []
     for tau in taus:
-        if tau not in by_tau:
-            by_tau[tau] = expand(w, P.context(tau), cutoff * max(tau))
-        e = by_tau[tau]
+        e = expand(w, P.context(tau), cutoff * max(tau))
         val = e.valuation
         if val is None:
             memberships.append(MembershipRecord(tau, None, None))

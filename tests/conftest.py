@@ -2,6 +2,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+import mildkit.magnus
 from mildkit import Context, Monomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -13,6 +14,27 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def count_expansions(monkeypatch) -> list:
+    """(word, context, cutoff) of every expansion that the kernel computes
+    below expand's memo, in order.  The memo is cleared first, so a key
+    that an earlier test computed is counted again."""
+    computed, depth = [], [0]
+    kernel = mildkit.magnus._expand_word
+
+    def counted(w, ctx, cutoff):
+        if not depth[0]:  # the kernel recurses into subwords
+            computed.append((w, ctx, cutoff))
+        depth[0] += 1
+        try:
+            return kernel(w, ctx, cutoff)
+        finally:
+            depth[0] -= 1
+
+    mildkit.magnus._expansion.cache_clear()
+    monkeypatch.setattr(mildkit.magnus, "_expand_word", counted)
+    return computed
 
 
 def random_monomial(rng: random.Random, ctx: Context, max_len=5) -> Monomial:

@@ -8,10 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-import mildkit.cli
-import mildkit.magnus
-import mildkit.massey
-from conftest import load_workloads
+from conftest import count_expansions, load_workloads
 from mildkit.cli import load_presentation, main, parse_presentation_text
 from mildkit.errors import ParseError
 
@@ -204,6 +201,14 @@ def test_mild_subset_command(capsys):
     assert doc["verdict"] == "mild"
 
 
+def test_mild_subset_rejects_a_repeated_generator(capsys):
+    argv = ["mild", str(PRES / "circuit_d4.pres"), "--subset", "x1,x1", "--e", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate generator 'x1' in --subset\n"
+
+
 def test_mild_requires_subset_or_search(capsys):
     code = main(["mild", str(PRES / "circuit_d4.pres")])
     assert code == 2
@@ -272,6 +277,14 @@ def test_hall_rejects_non_prime(capsys, p):
     assert "p must be a prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, n", [("-1", "2"), ("0", "2"), ("2", "0")])
+def test_hall_checks_d_and_n_before_the_weights(capsys, d, n):
+    assert main(["hall", "--d", d, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need d >= 1 and n >= 1\n"
+
+
 def test_hall_p1_exits_instead_of_looping():
     # a child process, so that a regression fails on the timeout rather
     # than hanging the suite
@@ -326,18 +339,11 @@ def test_integer_list_flags_name_the_flag(capsys, argv, flag, value):
 
 @pytest.mark.parametrize("argv", PRESENTATION_COMMANDS, ids=" ".join)
 def test_each_relator_expanded_once_per_weights_and_cutoff(monkeypatch, capsys, argv):
-    keys = []
-    original = mildkit.magnus.expand
-
-    def counted(w, ctx, cutoff):
-        keys.append((w, ctx.tau, cutoff))
-        return original(w, ctx, cutoff)
-
-    for module in (mildkit.magnus, mildkit.massey, mildkit.cli):
-        monkeypatch.setattr(module, "expand", counted)
+    computed = count_expansions(monkeypatch)
     monkeypatch.chdir(ROOT)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
+    keys = [(w, ctx.tau, cutoff) for w, ctx, cutoff in computed]
     # cutoff 1 is the minimality check made while loading the presentation
     counts = Counter(key for key in keys if key[2] != 1)
     assert counts

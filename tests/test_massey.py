@@ -6,14 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import mildkit.cli
-import mildkit.magnus
-import mildkit.massey
+from conftest import count_expansions
 from mildkit.cli import main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
 from mildkit.freeness import PROVEN, CONSISTENT, anick_check, strongly_free_oracle
 from mildkit.lie import hall_basis, hall_to_group_word
-from mildkit.magnus import GroupWord, Gen, make_presentation, substitute
+from mildkit.magnus import GroupWord, Gen, _expansion, expand, initial_form, make_presentation, substitute
 from mildkit.massey import (
     CRITERION_FAILED,
     MILD,
@@ -32,6 +30,7 @@ from mildkit.massey import (
     _subset_permutation,
 )
 from mildkit.orders import UOrder
+from reference_magnus import reference_expand
 
 PRES = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -481,18 +480,9 @@ def test_verdicts_invariant_under_letter_permutations():
 
 @pytest.fixture
 def expand_calls(monkeypatch):
-    """Arguments of every expand call, through each of its bindings."""
-    calls = []
-    original = mildkit.magnus.expand
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mildkit.magnus, "expand", counted)
-    monkeypatch.setattr(mildkit.massey, "expand", counted)
-    monkeypatch.setattr(mildkit.cli, "expand", counted)
-    return calls
+    """(word, context, cutoff) of every expansion computed below expand's
+    memo, which starts empty."""
+    return count_expansions(monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -560,6 +550,7 @@ def test_search_certificate_matches_direct_check(P):
         assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
 
 
+
 def test_search_through_a_supplied_basis_change_matches_direct_check():
     # at p = 2 no coordinate subset decomposes x1^2 x2^2, but the dual basis
     # chi'_1 = chi_1, chi'_2 = chi_1 + chi_2 does
@@ -585,3 +576,39 @@ def test_witness_does_not_depend_on_how_the_relator_is_written():
         assert verdict.reason == (
             "condition (a) fails: relator r2 has a nonzero product on tuple (3, 2) with >= 2 entries in V"
         )
+
+
+# -- the expansion memo: shared, read only, one computation per key ---------------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations())
+def test_verdicts_leave_the_shared_expansions_unchanged(P):
+    assume(zassenhaus_invariant(P, 8) is not None)
+    ctx = P.context()
+    shared = [expand(w, ctx, 8) for w in P.relator_words()]
+    search_mild(P)
+    if P.m == 1:
+        demuskin_mildness(P)
+        one_relator_verdict(P, with_demuskin=True)
+    for w, e in zip(P.relator_words(), shared):
+        if e.valuation is not None:
+            initial_form(w, ctx, 8)
+        assert expand(w, ctx, 8) is e
+        assert e == _expansion.__wrapped__(w, ctx, 8)
+        assert e.poly == reference_expand(w, ctx, 8)
+
+
+def test_readme_library_sequence_computes_each_expansion_once(expand_calls):
+    P = make_presentation(3, ["x1", "x2", "x3"], [("r", "x1^3 x2^3 [[x1, x3], x3]")])
+    verdict = search_mild(P)
+    ctx = P.context()
+    form = initial_form(P.relators[0][1], ctx, 8)
+    strongly_free_oracle(ctx, [form], 12)
+    assert verdict.is_mild
+    keys = [(w, c.tau, cutoff) for w, c, cutoff in expand_calls]
+    assert keys == [
+        (P.relators[0][1], (1, 1, 1), 1),
+        (P.relators[0][1], (1, 1, 1), 8),
+    ]
