@@ -228,8 +228,12 @@ class GradedQuotient:
     representative or rewrites to one, a {representative index:
     coefficient} dict otherwise.  Per degree each relator term is read
     through these tables once, for every beta at once, so a row is built by
-    lookups alone.  The tables grow lazily, so an instance is not safe to
-    share across threads while it is being extended.
+    lookups alone.  Degree n itself needs only its representatives, the
+    non-pivot columns of its elimination, so degree n's image tables are
+    built when degree n + 1 first needs them: at most one degree is pending
+    at a time, and the top degree asked for never builds its tables.  The
+    tables grow lazily, so an instance is not safe to share across threads
+    while it is being extended.
     """
 
     def __init__(self, ctx: Context, rhos, budget=None):
@@ -243,6 +247,9 @@ class GradedQuotient:
         self._reps: list[list[int]] = [[0]]
         # _images[n][j]: the image table of X_{j+1} into degree n (None if n < tau_{j+1})
         self._images: list[list[list | None]] = [[None] * ctx.d]
+        # the last degree's (column-index tables, pivot rows, column images)
+        # until _finish turns them into _images[n]
+        self._pending = None
 
     def dimension(self, n: int) -> int:
         if n < 0:
@@ -272,8 +279,8 @@ class GradedQuotient:
             composed = [table[img] if type(img) is int else self._push(img, table) for img in composed]
         return composed
 
-    def _push(self, vec: dict[int, int], table: list) -> dict[int, int]:
-        """Map a vector through an image table."""
+    def _push(self, vec: dict[int, int], table: list, scale: int = 1) -> dict[int, int]:
+        """Map scale * vec through an image table."""
         p = self.ctx.p
         out: dict[int, int] = {}
         for r, c in vec.items():
@@ -283,9 +290,10 @@ class GradedQuotient:
             else:
                 for s, v in img.items():
                     out[s] = out.get(s, 0) + c * v
-        return {k: v % p for k, v in out.items() if v % p}
+        return {k: scale * v % p for k, v in out.items() if v % p}
 
     def _extend(self):
+        self._finish()
         n = len(self._reps)
         ctx = self.ctx
         base = ctx.d + 1
@@ -297,7 +305,7 @@ class GradedQuotient:
             if n >= t:
                 keys += [w * base + j + 1 for w in self._reps[n - t]]
         keys.sort()
-        # the tables map to column indices until the elimination is done
+        # the tables map to column indices until _finish rewrites them
         images = [[0] * len(self._reps[n - t]) if n >= t else None for t in ctx.tau]
         filled = [0] * ctx.d
         for ci, key in enumerate(keys):
@@ -325,18 +333,42 @@ class GradedQuotient:
                             row[ci] = row.get(ci, 0) + c * v
                 red.add(row)  # reduces mod p and drops zero entries
 
-        # column index -> its image in the degree-n basis
+        # column index -> its image in the degree-n basis, for now only
+        # the non-pivot columns; _finish images the pivots
         col_image: list = [None] * len(keys)
         reps = []
         for ci, key in enumerate(keys):
             if ci not in red.pivots:
                 col_image[ci] = len(reps)
                 reps.append(key)
+        self._reps.append(reps)
+        self._pending = (images, red.pivots, col_image)
+
+    def _finish(self):
+        """Fill the image tables of the pending degree, if any: only the
+        next degree reads them, so the top degree asked for never builds
+        them."""
+        if self._pending is None:
+            return
+        images, pivots, col_image = self._pending
+        self._pending = None
+        # degree n is withdrawn until its tables are built, so an interrupted
+        # rewrite leaves it to be recomputed rather than half rewritten
+        reps = self._reps.pop()
+        p = self.ctx.p
         # a pivot's tail only touches larger columns, so in decreasing order
         # each tail column is already imaged: this is the back-substitution
-        for ci in sorted(red.pivots, reverse=True):
-            prow = red.pivots.pop(ci)  # frees each pivot row once converted
-            img = self._push({k: -v for k, v in prow.items() if k != ci}, col_image)
+        for ci in sorted(pivots, reverse=True):
+            prow = pivots.pop(ci)  # frees each pivot row once converted
+            del prow[ci]
+            if len(prow) == 1:
+                (k, v), = prow.items()
+                img = col_image[k]
+                if type(img) is int:
+                    # one representative: the index itself when -v = 1
+                    col_image[ci] = img if v == p - 1 else {img: p - v}
+                    continue
+            img = self._push(prow, col_image, -1)
             # a pivot that rewrites to one representative is stored as that index
             col_image[ci] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
         images = [None if table is None else [col_image[ci] for ci in table] for table in images]

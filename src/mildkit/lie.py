@@ -128,6 +128,8 @@ class RestrictedBasisElement:
 def restricted_basis(d: int, n: int, p: int, tau=None) -> list[RestrictedBasisElement]:
     """Basis of degree n of the free restricted Lie algebra: all c^(p^j)
     with (weighted degree of c) * p^j = n."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if tau is None:

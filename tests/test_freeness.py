@@ -1,6 +1,7 @@
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import random_poly, reduce_fully
 from mildkit import Context, IntSeries, initial_form
 from mildkit.cli import load_presentation
-from mildkit.errors import BudgetError
+from mildkit.errors import BudgetError, InternalInvariantError
 from mildkit.freeness import (
     CONSISTENT,
     PROVEN,
@@ -359,13 +360,10 @@ def _reference_degree(q, n, rows):
     return reps, images
 
 
-@pytest.mark.parametrize("case", ["circuit_d4.pres", "demuskin_p3.pres", "tails_f5"])
-def test_fused_back_substitution_is_reduced_echelon_form(monkeypatch, case):
-    if case == "tails_f5":
-        ctx, forms, N = TAILS_F5, TAILS_F5_RELATORS, 7
-    else:
-        (ctx, forms), N = _corpus_forms(case), 8
-    reducers, rows, finalized = [], {}, []
+def _recorded_dimensions(q, N):
+    """q.dimensions(N), returning for each degree 1..N the rows given to
+    that degree's reducer."""
+    reducers, rows = [], {}
     original_init, original_add = RowReducer.__init__, RowReducer.add
 
     def init(self, p):
@@ -376,21 +374,98 @@ def test_fused_back_substitution_is_reduced_echelon_form(monkeypatch, case):
         rows.setdefault(self, []).append(dict(row))
         return original_add(self, row)
 
-    monkeypatch.setattr(RowReducer, "__init__", init)
-    monkeypatch.setattr(RowReducer, "add", add)
-    monkeypatch.setattr(RowReducer, "finalize", lambda self: finalized.append(self))
-    q = GradedQuotient(ctx, forms)
-    q.dimensions(N)
-    monkeypatch.undo()
-    assert finalized == []
-    assert len(reducers) == N  # one reducer per degree 1..N
-    for n, red in enumerate(reducers, start=1):
-        reps, images = _reference_degree(q, n, rows.get(red, []))
+    with mock.patch.object(RowReducer, "__init__", init), mock.patch.object(RowReducer, "add", add):
+        q.dimensions(N)
+    return [rows.get(red, []) for red in reducers]
+
+
+def _assert_matches_reference(q, N):
+    """Representatives and image tables of every degree 1..N against
+    _reference_degree, the top degree's tables finished first."""
+    degree_rows = _recorded_dimensions(q, N)
+    assert len(degree_rows) == N  # one reducer per degree 1..N
+    assert len(q._images) == N  # degree N is pending: no degree has read it
+    q._finish()
+    for n, rows in enumerate(degree_rows, start=1):
+        reps, images = _reference_degree(q, n, rows)
         assert q._reps[n] == reps
         assert q._images[n] == images
+
+
+@pytest.mark.parametrize("case", ["circuit_d4.pres", "demuskin_p3.pres", "tails_f5"])
+def test_fused_back_substitution_is_reduced_echelon_form(monkeypatch, case):
+    if case == "tails_f5":
+        ctx, forms, N = TAILS_F5, TAILS_F5_RELATORS, 7
+    else:
+        (ctx, forms), N = _corpus_forms(case), 8
+    finalized = []
+    monkeypatch.setattr(RowReducer, "finalize", lambda self: finalized.append(self))
+    q = GradedQuotient(ctx, forms)
+    _assert_matches_reference(q, N)
+    assert finalized == []
     if case == "tails_f5":
         tails = [img for table in q._images[N] if table for img in table if type(img) is dict]
         assert any(len(img) > 1 and set(img.values()) - {1} for img in tails)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weighted_relators())
+@example((CUBIC_F3, CUBIC_F3_RELATORS))
+@example((TAILS_F5, TAILS_F5_RELATORS))
+def test_image_tables_match_reference_on_random_relators(case):
+    # non-unit coefficients and weights of 2 reach both rewrites of a
+    # pivot: the one-column tail read off directly and the pushed tail
+    ctx, rhos = case
+    assume(rhos)
+    free = dimension_series(ctx, 6)
+    N = max(n for n in range(1, 7) if free[n] <= 300)
+    _assert_matches_reference(GradedQuotient(ctx, rhos), N)
+    try:
+        strongly_free_oracle(ctx, rhos, N)
+    except InternalInvariantError as exc:
+        pytest.fail(f"the oracle's defect went negative: {exc}")
+
+
+@pytest.mark.parametrize("case", ["demuskin_p3.pres", "tails_f5"])
+def test_tables_do_not_depend_on_how_degrees_are_asked_for(case):
+    if case == "tails_f5":
+        ctx, forms, N = TAILS_F5, TAILS_F5_RELATORS, 6
+    else:
+        (ctx, forms), N = _corpus_forms(case), 8
+    jumped = GradedQuotient(ctx, forms)
+    jumped.dimension(N)
+    jumped.dimension(N + 1)
+    stepped = GradedQuotient(ctx, forms)
+    for n in range(N + 2):
+        stepped.dimension(n)
+    assert jumped._reps == stepped._reps
+    assert jumped._images == stepped._images
+    jumped._finish()
+    stepped._finish()
+    assert len(jumped._images) == N + 2
+    assert jumped._images == stepped._images
+
+
+def test_interrupted_rewrite_leaves_the_degree_to_be_recomputed():
+    q = GradedQuotient(TAILS_F5, TAILS_F5_RELATORS)
+    q.dimension(5)
+    original = GradedQuotient._push
+
+    def push(self, vec, table, scale=1):
+        if scale == -1:  # only the pivot rewrite negates
+            raise RuntimeError("interrupted")
+        return original(self, vec, table, scale)
+
+    with mock.patch.object(GradedQuotient, "_push", push), pytest.raises(RuntimeError):
+        q.dimension(6)
+    assert len(q._reps) == len(q._images) == 5
+    q.dimensions(7)
+    q._finish()
+    fresh = GradedQuotient(TAILS_F5, TAILS_F5_RELATORS)
+    fresh.dimensions(7)
+    fresh._finish()
+    assert q._reps == fresh._reps
+    assert q._images == fresh._images
 
 
 def _corpus_forms(fname):
@@ -423,6 +498,20 @@ def test_budget_enforced():
         q.dimension(8)
     q.budget = None
     assert q.dimensions(8) == [(n + 1) * 2**n for n in range(9)]
+    # also when it is refused while the degree below is still pending:
+    # degree 3 (16 x 48) fits the budget, degree 4 (48 x 128) does not
+    q = GradedQuotient(CTX4, circuit(CTX4), budget=1000)
+    assert q.dimension(3) == 32
+    assert len(q._images) == 3
+    with pytest.raises(BudgetError):
+        q.dimension(4)
+    assert len(q._reps) == len(q._images) == 4
+    q.budget = None
+    assert q.dimensions(8) == [(n + 1) * 2**n for n in range(9)]
+    unbudgeted = GradedQuotient(CTX4, circuit(CTX4))
+    unbudgeted.dimensions(8)
+    assert q._reps == unbudgeted._reps
+    assert q._images == unbudgeted._images
     with pytest.raises(BudgetError):
         ideal_slice(CTX4, circuit(CTX4), 6, budget=10)
 

@@ -84,6 +84,13 @@ def test_restricted_basis_rejects_non_prime(p):
         restricted_basis(2, 4, p)
 
 
+@pytest.mark.parametrize("d, n", [(2, 0), (-1, 2)])
+def test_restricted_basis_rejects_bad_rank_or_degree(d, n):
+    # the same check and message as hall_layers
+    with pytest.raises(ValueError, match="^need d >= 1 and n >= 1$"):
+        restricted_basis(d, n, 3)
+
+
 def test_restricted_basis_rejects_p1_without_looping():
     # p = 1 never grows p^j; run it in a child process so that a regression
     # fails on the timeout rather than hanging the suite
