@@ -64,12 +64,14 @@ from .massey import (
     bn_map,
     check_mild,
     check_shuffles,
+    demuskin,
     demuskin_mildness,
     demuskin_type,
     massey_tensor,
     massey_value,
     one_relator_verdict,
     search_mild,
+    subset_decomposition,
     zassenhaus_invariant,
 )
 from .orders import DegLexOrder, UOrder, check_multiplicative, high_term, parse_order_spec

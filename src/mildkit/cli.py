@@ -7,8 +7,8 @@ SHARED (the presentation file, --cutoff, --tau, --degree), declared there
 once; a (flag, keywords) pair is the command's own.  `main` starts the
 clock, builds one Invocation, calls the command and prints the envelope; a
 command only returns the envelope's fields.  An Invocation works out what
-the commands read, each once: the presentation, its weights, the cutoff
-and the relators' expansions, by (weights, cutoff).
+the commands read: the presentation, its weights, the cutoff and the
+initial forms.  Commands call only the public API of magnus and massey.
 
 Presentation file format::
 
@@ -20,7 +20,8 @@ Presentation file format::
       r1: x1^3 x2^3 [[x1, x3], x3]
 
 Exit codes: 0 = computed (whatever the verdict), 1 = negative verdict
-under --strict, 2 = input error, 3 = budget or precision error.  The
+under --strict, 2 = input error, 3 = budget or precision error; a reader
+that closes stdout early (``| head``) ends the command quietly with 0.  The
 matrix-entry budget defaults to 2_000_000 and can be overridden with
 --budget or the MILDKIT_BUDGET environment variable.
 """
@@ -36,7 +37,7 @@ import time
 from . import freeness, massey
 from .algebra import series_compare, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
-from .magnus import Presentation, _initial_form, expand, parse_word, word_to_text
+from .magnus import Presentation, expand, initial_form, parse_word, word_to_text
 from .lie import hall_basis, restricted_basis
 from .orders import parse_order_spec
 
@@ -148,9 +149,8 @@ def load_presentation(path: str) -> Presentation:
 
 class Invocation:
     """What one command reads: the parsed arguments and the budget and,
-    for a command with a presentation file, the presentation, its weights
-    (--tau or the file's) and the relators' expansions, which expand's
-    memo keeps."""
+    for a command with a presentation file, the presentation and its
+    weights (--tau or the file's)."""
 
     def __init__(self, args, budget: int):
         self.args = args
@@ -165,17 +165,11 @@ class Invocation:
                 raise ParseError(f"expected {P.d} weights, got {len(self.tau)}")
         self.ctx = P.context(self.tau)
 
-    def expansions(self, cutoff: int, tau=None) -> list:
-        """The relators' expansions at the weights tau (all 1 by default),
-        truncated past the cutoff."""
-        ctx = self.P.context(tau or (1,) * self.P.d)
-        return [expand(w, ctx, cutoff) for _, w in self.P.relators]
-
     def cutoff(self) -> int:
         """--cutoff, or else max(8, 2z) with z(G) read at cutoff 8."""
         if getattr(self.args, "cutoff", None) is not None:
             return self.args.cutoff
-        z = massey._z(self.expansions(8))
+        z = massey.zassenhaus_invariant(self.P, 8)
         if z is None or z is massey.INFINITY:
             return 8
         return max(8, 2 * z)
@@ -186,8 +180,8 @@ class Invocation:
 
     def initial_forms(self) -> dict:
         """The relators' initial forms at the weights, by relator name."""
-        exps = self.expansions(self.weighted_cutoff(), self.tau)
-        return {name: _initial_form(e) for (name, _), e in zip(self.P.relators, exps)}
+        cutoff = self.weighted_cutoff()
+        return {name: initial_form(w, self.ctx, cutoff) for name, w in self.P.relators}
 
     def inputs(self, cutoff=None, **extra) -> dict:
         out = {
@@ -283,14 +277,13 @@ def cmd_expand(run):
 
 def cmd_zassenhaus(run):
     cutoff = run.cutoff()
-    exps = run.expansions(cutoff)
-    z = massey._z(exps)
+    z = massey.zassenhaus_invariant(run.P, cutoff)
     result = {
         "zassenhaus_invariant": "unknown(>%d)" % cutoff if z is None else
         ("infinity (free presentation)" if z is massey.INFINITY else z),
         "relator_valuations": {
             name: f"unknown(>{cutoff})" if e.valuation is None else e.valuation
-            for (name, _), e in zip(run.P.relators, exps)
+            for (name, _), e in zip(run.P.relators, run.P.expansions(cutoff))
         },
     }
     if z is None:
@@ -302,7 +295,8 @@ def cmd_zassenhaus(run):
 def cmd_initial_forms(run):
     cutoff = run.weighted_cutoff()
     result = {}
-    for (name, _), e in zip(run.P.relators, run.expansions(cutoff, run.tau)):
+    for name, w in run.P.relators:
+        e = expand(w, run.ctx, cutoff)
         if e.valuation is None:
             result[name] = {"valuation": f"unknown(>{cutoff})"}
         else:
@@ -375,11 +369,7 @@ def cmd_mild(run):
             if P.names.index(token) + 1 in subset:
                 raise ParseError(f"duplicate generator {token!r} in --subset")
             subset.append(P.names.index(token) + 1)
-        matrix = None
-        if tuple(subset) != tuple(range(1, len(subset) + 1)):
-            matrix = massey._subset_permutation(P.d, tuple(subset))
-        D = massey.Decomposition(len(subset), args.e, matrix)
-        verdict = massey.check_mild(P, D, cutoff)
+        verdict = massey.check_mild(P, massey.subset_decomposition(P.d, subset, args.e), cutoff)
     result = verdict.as_dict(P.names)
     result["note"] = "verdict depends only on the relator coefficients up to degree z(G)"
     return {"inputs": run.inputs(cutoff), "result": result, "verdict": verdict.status,
@@ -390,7 +380,7 @@ def cmd_massey(run):
     P, args, cutoff = run.P, run.args, run.cutoff()
     n = args.n
     if n is None:
-        n = massey._z(run.expansions(cutoff))
+        n = massey.zassenhaus_invariant(P, cutoff)
         if n is None or n is massey.INFINITY:
             raise PrecisionError("cannot infer n: Zassenhaus invariant unknown or infinite")
     T = massey.massey_tensor(P, n, cutoff)
@@ -413,10 +403,7 @@ def cmd_massey(run):
 
 def cmd_demuskin(run):
     P, cutoff = run.P, run.cutoff()
-    massey._one_relator(P, "Demuškin-type analysis")
-    T = massey._z_tensor(P, run.expansions(cutoff), cutoff)
-    report = massey._demuskin_type(T, run.budget)
-    verdict = massey._demuskin_mildness(T, report)
+    report, verdict = massey.demuskin(P, cutoff, run.budget)
     result = {
         "type": report.as_dict(),
         "mildness": verdict.as_dict(P.names),
@@ -539,7 +526,7 @@ def main(argv=None) -> int:
         budget = args.budget
         if budget is None:
             budget = _env_budget()
-        return emit(args, started, **args.fn(Invocation(args, budget)))
+        fields = args.fn(Invocation(args, budget))
     except (BudgetError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -549,6 +536,17 @@ def main(argv=None) -> int:
     except MildkitError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         raise
+    try:
+        code = emit(args, started, **fields)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # of what is still buffered at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -291,14 +291,10 @@ def omega(w: GroupWord, ctx: Context, cutoff: int):
 
 def initial_form(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
     """Lowest-degree homogeneous component of the expansion minus one."""
-    return _initial_form(expand(w, ctx, cutoff))
-
-
-def _initial_form(e: MagnusExpansion) -> Poly:
-    """initial_form off an expansion already in hand."""
+    e = expand(w, ctx, cutoff)
     if e.valuation is None:
         raise PrecisionError(
-            f"no terms of weighted degree <= {e.cutoff}; increase precision "
+            f"no terms of weighted degree <= {cutoff}; increase precision "
             "(the word may also be trivial)"
         )
     return e.component(e.valuation)
@@ -444,6 +440,13 @@ class Presentation:
         if unweighted:
             return Context(self.p, self.d)
         return Context(self.p, self.d, self.tau if tau is None else check_weights(tau))
+
+    def expansions(self, cutoff: int) -> list:
+        """The relators' unweighted expansions, truncated past the cutoff:
+        every coefficient of degree <= cutoff is exact, so z(G) and each
+        Massey tensor up to the cutoff are read off them."""
+        ctx = self.context(unweighted=True)
+        return [expand(w, ctx, cutoff) for _, w in self.relators]
 
     def relator_words(self):
         return [w for _, w in self.relators]

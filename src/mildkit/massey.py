@@ -31,28 +31,14 @@ NOT_APPLICABLE = "not-applicable"
 # Zassenhaus invariant
 # ---------------------------------------------------------------------------
 
-def _expansions(P: Presentation, cutoff: int) -> list:
-    """The relators' unweighted expansions, truncated past the cutoff (one
-    expand call per relator).  Every coefficient of degree <= cutoff is
-    exact, so z(G) and each tensor slice up to the cutoff are read off
-    these expansions."""
-    ctx = P.context(unweighted=True)
-    return [expand(w, ctx, cutoff) for _, w in P.relators]
-
-
-def _z(exps):
-    """z(G) off the expansions: their minimum valuation, INFINITY when
-    there are none (a free presentation), None when all are trivial."""
-    if not exps:
-        return INFINITY
-    return min((e.valuation for e in exps if e.valuation is not None), default=None)
-
-
 def zassenhaus_invariant(P: Presentation, cutoff: int):
     """Largest n with every relator of valuation >= n: the minimum of the
     relator valuations.  INFINITY for a free presentation; None when the
     minimum is not visible at this cutoff."""
-    return _z(_expansions(P, cutoff))
+    exps = P.expansions(cutoff)
+    if not exps:
+        return INFINITY
+    return min((e.valuation for e in exps if e.valuation is not None), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +115,12 @@ def _slice(P: Presentation, exps, n: int) -> MasseyTensor:
     return MasseyTensor(P.p, P.d, n, P.relator_names(), tuple(values))
 
 
-def _z_tensor(P: Presentation, exps, cutoff: int) -> MasseyTensor:
-    """The tensor at n = z(G), off the relators' expansions at the cutoff."""
-    z = _z(exps)
+def _z_tensor(P: Presentation, cutoff: int) -> MasseyTensor:
+    """The tensor at n = z(G) off the relators' expansions at the cutoff.
+    The verdicts read it, so it fetches the expansions once and takes z,
+    their least valuation, off them rather than from zassenhaus_invariant."""
+    exps = P.expansions(cutoff)
+    z = min((e.valuation for e in exps if e.valuation is not None), default=None)
     if z is None:
         raise PrecisionError(
             f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
@@ -144,17 +133,16 @@ def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
     """All length-n expansion coefficients of the relators.  Defined only
     for n <= the Zassenhaus invariant (the products are not uniquely
     defined beyond it)."""
-    # at least degree 2, so that expand takes the cutoff and n < 2 is reported below
-    exps = _expansions(P, max(cutoff or 0, n, 2))
     if n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
-    z = _z(exps)
+    cutoff = max(cutoff or 0, n)
+    z = zassenhaus_invariant(P, cutoff)
     if z is not None and n > z:
         raise ValueError(
             f"n = {n} exceeds the Zassenhaus invariant {z}; "
             "the Massey product is not uniquely defined there"
         )
-    return _slice(P, exps, n)
+    return _slice(P, P.expansions(cutoff), n)
 
 
 def massey_value(T: MasseyTensor, xs) -> list[int]:
@@ -350,7 +338,7 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
     """
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    return _decide(_z_tensor(P, _expansions(P, cutoff), cutoff), D)
+    return _decide(_z_tensor(P, cutoff), D)
 
 
 def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
@@ -436,40 +424,44 @@ def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
     return MildVerdict(MILD, certificate=cert)
 
 
-def _subset_permutation(d: int, subset) -> tuple:
-    """Basis change whose first len(subset) rows are the chosen standard
-    vectors, the rest following in index order."""
+def subset_decomposition(d: int, subset, e: int) -> Decomposition:
+    """The decomposition with U spanned by the given coordinates (1-based)
+    and V by the rest: the basis change lists the chosen standard vectors
+    first, in the given order, the others following in index order.  No
+    basis change when the subset is 1..c."""
+    subset = tuple(subset)
+    if subset == tuple(range(1, len(subset) + 1)):
+        return Decomposition(len(subset), e)
     rest = [i for i in range(1, d + 1) if i not in subset]
-    return tuple(tuple(1 if j == i else 0 for j in range(1, d + 1)) for i in [*subset, *rest])
+    matrix = tuple(tuple(1 if j == i else 0 for j in range(1, d + 1)) for i in [*subset, *rest])
+    return Decomposition(len(subset), e, matrix)
 
 
 def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrices=()) -> MildVerdict:
     """Try the criterion over all coordinate-subset decompositions (and any
     user-supplied basis changes) and every admissible e; first success
-    wins.  The subset space is 2^d-sized, so a case budget applies."""
+    wins.  The subset space is 2^d-sized, so a case budget applies to its
+    closed-form count before any case is built."""
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    T = _z_tensor(P, _expansions(P, cutoff), cutoff)
+    T = _z_tensor(P, cutoff)
     n, d = T.n, P.d
     if n < 2 or d < 2:
         return MildVerdict(
             CRITERION_FAILED,
             f"no decomposition exists for d = {d}, n = {n}",
         )
-    cases = []
-    for c in range(1, d):
-        for subset in itertools.combinations(range(1, d + 1), c):
-            matrix = None if subset == tuple(range(1, c + 1)) else _subset_permutation(d, subset)
-            for e in range(1, n):
-                cases.append((Decomposition(c, e, matrix), f"U = span{subset}, e = {e}"))
-    for matrix in matrices:
-        for c in range(1, d):
-            for e in range(1, n):
-                cases.append((Decomposition(c, e, tuple(tuple(r) for r in matrix)), "user matrix"))
-    if len(cases) > max_cases:
+    matrices = [tuple(tuple(r) for r in matrix) for matrix in matrices]
+    count = (2**d - 2 + len(matrices) * (d - 1)) * (n - 1)
+    if count > max_cases:
         raise BudgetError(
-            f"{len(cases)} decompositions exceed the search budget {max_cases}"
+            f"{count} decompositions exceed the search budget {max_cases}"
         )
+    subsets = (s for c in range(1, d) for s in itertools.combinations(range(1, d + 1), c))
+    cases = itertools.chain(
+        ((subset_decomposition(d, s, e), f"U = span{s}, e = {e}") for s in subsets for e in range(1, n)),
+        ((Decomposition(c, e, m), "user matrix") for m in matrices for c in range(1, d) for e in range(1, n)),
+    )
     for D, label in cases:
         verdict = _decide(T, D)
         if verdict.is_mild:
@@ -477,7 +469,7 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
             return verdict
     return MildVerdict(
         CRITERION_FAILED,
-        f"criterion failed for all {len(cases)} searched decompositions",
+        f"criterion failed for all {count} searched decompositions",
     )
 
 
@@ -562,8 +554,8 @@ def one_relator_verdict(
     route is reported as inconclusive, never as a refutation."""
     _one_relator(P, "one-relator analysis")
     name, w = P.relators[0]
-    exps = _expansions(P, cutoff)
-    z = _z(exps)
+    exps = P.expansions(cutoff)
+    z = exps[0].valuation  # z(G) of one relator is its valuation
     routes: list[str] = []
     notes = []
 
@@ -601,18 +593,16 @@ def one_relator_verdict(
     except NotInRestrictedLieError as exc:  # pragma: no cover - defensive
         split_error = str(exc)
 
-    T = _slice(P, exps, z)
     bp_matrix = None
     bp_kernel = None
     if z == P.p and P.d >= 2:
-        bp_matrix = bn_map(T)
+        bp_matrix = bn_map(_slice(P, exps, z))
         bp_kernel = kernel_basis(P.p, bp_matrix, P.d)
 
     demuskin_report = None
     demuskin_verdict = None
     if with_demuskin:
-        demuskin_report = _demuskin_type(T, budget)
-        demuskin_verdict = _demuskin_mildness(T, demuskin_report)
+        demuskin_report, demuskin_verdict = demuskin(P, cutoff, budget)
         if demuskin_verdict.is_mild:
             routes.append("Demuškin-type construction")
 
@@ -674,7 +664,7 @@ def demuskin_type(P: Presentation, cutoff: int = 8, budget: int = 200000) -> Dem
     (chi, ..., psi, ..., chi).  Enumerates all p^d - 1 classes; refuses
     honestly when that exceeds the budget."""
     _one_relator(P, "Demuškin-type analysis")
-    return _demuskin_type(_z_tensor(P, _expansions(P, cutoff), cutoff), budget)
+    return _demuskin_type(_z_tensor(P, cutoff), budget)
 
 
 def _demuskin_type(T: MasseyTensor, budget: int) -> DemuskinTypeReport:
@@ -689,20 +679,21 @@ def _demuskin_type(T: MasseyTensor, budget: int) -> DemuskinTypeReport:
     return DemuskinTypeReport(True, T.n)
 
 
-def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) -> MildVerdict:
-    """Run the Demuškin-type construction: pick chi in the kernel of the
-    diagonal map, find psi pairing nontrivially against chi^(n-1), send chi
-    to the last coordinate, and check the criterion with V = span(chi),
-    e = 1.  One-generator groups of Demuškin type are finite cyclic."""
-    _one_relator(P, "Demuškin mildness")
-    T = _z_tensor(P, _expansions(P, cutoff), cutoff)
-    return _demuskin_mildness(T, _demuskin_type(T, budget))
-
-
-def _demuskin_mildness(T: MasseyTensor, report: DemuskinTypeReport) -> MildVerdict:
+def demuskin(
+    P: Presentation, cutoff: int = 8, budget: int = 200000
+) -> tuple[DemuskinTypeReport, MildVerdict]:
+    """The Demuškin-type report of demuskin_type and the verdict of the
+    Demuškin-type construction, off one tensor at n = z(G).  The
+    construction picks chi in the kernel of the diagonal map, finds psi
+    pairing nontrivially against chi^(n-1), sends chi to the last
+    coordinate, and checks the criterion with V = span(chi), e = 1.
+    One-generator groups of Demuškin type are finite cyclic."""
+    _one_relator(P, "Demuškin-type analysis")
+    T = _z_tensor(P, cutoff)
+    report = _demuskin_type(T, budget)
     n, d = T.n, T.d
     if not report.is_type:
-        return MildVerdict(
+        return report, MildVerdict(
             NOT_APPLICABLE,
             f"not of Demuškin type: no pairing partner for chi = {report.witness}",
         )
@@ -715,17 +706,17 @@ def _demuskin_mildness(T: MasseyTensor, report: DemuskinTypeReport) -> MildVerdi
             raise ValueError(
                 f"inconsistent input: one generator forces z to be a power of p, got {n}"
             )
-        return MildVerdict(
+        return report, MildVerdict(
             NOT_APPLICABLE,
             f"finite group: G = Z/{n} (cyclic of order p^{k}); not mild, cd is infinite",
         )
     kern = kernel_basis(T.p, bn_map(T), d)
     if not kern:  # pragma: no cover - impossible for m = 1 < d
-        return MildVerdict(CRITERION_FAILED, "diagonal map has trivial kernel")
+        return report, MildVerdict(CRITERION_FAILED, "diagonal map has trivial kernel")
     chi = tuple(kern[0])
     form = _pairing_form(T, chi, 0)
     if not any(form):  # pragma: no cover - excluded by the shifting identity
-        return MildVerdict(
+        return report, MildVerdict(
             CRITERION_FAILED,
             "no psi pairs with chi^(n-1); shifting identity violated",
         )
@@ -737,4 +728,9 @@ def _demuskin_mildness(T: MasseyTensor, report: DemuskinTypeReport) -> MildVerdi
         verdict.reason = (
             f"Demuškin-type construction with chi = {list(chi)} spanning V"
         )
-    return verdict
+    return report, verdict
+
+
+def demuskin_mildness(P: Presentation, cutoff: int = 8, budget: int = 200000) -> MildVerdict:
+    """The verdict of the Demuškin-type construction (see demuskin)."""
+    return demuskin(P, cutoff, budget)[1]

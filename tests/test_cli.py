@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -35,6 +36,12 @@ ENVELOPE_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+
+def run_child(argv, **kwargs):
+    """One `python -m mildkit.cli` child process on this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "mildkit.cli", *argv], env=env, timeout=60, **kwargs)
 
 
 def run_json(capsys, *argv):
@@ -288,11 +295,7 @@ def test_hall_checks_d_and_n_before_the_weights(capsys, d, n):
 def test_hall_p1_exits_instead_of_looping():
     # a child process, so that a regression fails on the timeout rather
     # than hanging the suite
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "mildkit.cli", "hall", "--d", "2", "--n", "4", "--p", "1"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    done = run_child(["hall", "--d", "2", "--n", "4", "--p", "1"], capture_output=True, text=True)
     assert done.returncode == 2
     assert "p must be a prime" in done.stderr
 
@@ -374,3 +377,65 @@ def test_text_and_json_verdicts_agree(capsys):
         assert main(argv) == 0
         text = capsys.readouterr().out
         assert f"verdict: {expected}" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zassenhaus", str(PRES / "demuskin_p3.pres")], ["hall", "--d", "3", "--n", "9", "--json"]],
+    ids=["short-envelope", "long-envelope"],
+)
+def test_closed_stdout_ends_without_a_traceback(argv):
+    # the read end is closed before the child starts; the long envelope
+    # fails inside print, the short one at the flush after it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_child(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+# -- the CLI on the public API ----------------------------------------------------
+
+
+def private_reads(source: str) -> list[str]:
+    """The `_`-prefixed names that a module takes from other mildkit
+    modules: imported by name, or read as an attribute of a name that it
+    imported from mildkit.  Dunder names do not count."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mildkit")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.module or '.'}.{alias.name}")
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names if alias.name.startswith("mildkit"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        private = node.attr.startswith("_") and not node.attr.startswith("__")
+        if private and isinstance(root, ast.Name) and root.id in imported:
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_private_reads_finds_both_forms():
+    source = (
+        "from . import massey\n"
+        "from .magnus import expand, _initial_form\n"
+        "import mildkit.lie\n"
+        "z = massey._z(massey.zassenhaus_invariant)\n"
+        "b = mildkit.lie._moebius(massey.__name__)\n"
+    )
+    assert sorted(private_reads(source)) == ["magnus._initial_form", "massey._z", "mildkit.lie._moebius"]
+
+
+def test_cli_reads_only_public_names():
+    assert private_reads((ROOT / "src" / "mildkit" / "cli.py").read_text(encoding="utf-8")) == []

@@ -89,7 +89,9 @@ def test_golden_covers_every_run(golden):
 @pytest.mark.parametrize("argv", runs(), ids=" ".join)
 def test_envelope_matches_golden(golden, argv):
     want = next(g for g in golden if g["argv"] == argv)
-    assert record(argv) == want
+    got = record(argv)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # the keys in the same order too
 
 
 if __name__ == "__main__":

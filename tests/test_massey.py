@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,10 @@ from mildkit.cli import main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
 from mildkit.freeness import PROVEN, CONSISTENT, anick_check, strongly_free_oracle
 from mildkit.lie import hall_basis, hall_to_group_word
-from mildkit.magnus import GroupWord, Gen, _expansion, expand, initial_form, make_presentation, substitute
+from mildkit.magnus import (
+    Commutator, GroupWord, Gen, Presentation, Sub, _expansion, expand, initial_form, make_presentation,
+    substitute,
+)
 from mildkit.massey import (
     CRITERION_FAILED,
     MILD,
@@ -20,14 +25,15 @@ from mildkit.massey import (
     bn_map,
     check_mild,
     check_shuffles,
+    demuskin,
     demuskin_mildness,
     demuskin_type,
     massey_tensor,
     massey_value,
     one_relator_verdict,
     search_mild,
+    subset_decomposition,
     zassenhaus_invariant,
-    _subset_permutation,
 )
 from mildkit.orders import UOrder
 from reference_magnus import reference_expand
@@ -267,14 +273,13 @@ def test_check_mild_demuskin_example():
 def test_check_mild_triple_fails_everywhere():
     for c in (1, 2):
         for subset in itertools.combinations((1, 2, 3), c):
-            matrix = None if subset == tuple(range(1, c + 1)) else _subset_permutation(3, subset)
-            verdict = check_mild(TRIPLE, Decomposition(c, 1, matrix))
+            verdict = check_mild(TRIPLE, subset_decomposition(3, subset, 1))
             assert verdict.status == CRITERION_FAILED
     assert search_mild(TRIPLE).status == CRITERION_FAILED
 
 
 def test_check_mild_circuit_bipartite():
-    D = Decomposition(2, 1, _subset_permutation(4, (2, 4)))
+    D = subset_decomposition(4, (2, 4), 1)
     verdict = check_mild(CIRCUIT, D)
     assert verdict.status == MILD
     highs = verdict.certificate.high_terms
@@ -304,7 +309,7 @@ def test_check_mild_certificate_is_oracle_consistent():
     # oracle and prove out under the high-term criterion
     for P, D in [
         (DEMUSKIN_P3, Decomposition(2, 1)),
-        (CIRCUIT, Decomposition(2, 1, _subset_permutation(4, (2, 4)))),
+        (CIRCUIT, subset_decomposition(4, (2, 4), 1)),
     ]:
         verdict = check_mild(P, D)
         assert verdict.status == MILD
@@ -319,8 +324,7 @@ def test_search_mild_demuskin_finds_identity_split():
     verdict = search_mild(DEMUSKIN_P3)
     assert verdict.status == MILD
     D = verdict.certificate.decomposition
-    assert (D.c, D.e) == (2, 1)
-    assert D.matrix is None
+    assert D == Decomposition(2, 1) == subset_decomposition(3, (1, 2), 1)
 
 
 def test_search_mild_circuit():
@@ -334,6 +338,16 @@ def test_search_mild_free():
 def test_search_mild_budget():
     with pytest.raises(BudgetError):
         search_mild(CIRCUIT, max_cases=3)
+
+
+def test_search_mild_counts_its_cases_before_building_them():
+    # (2^40 - 2)(n - 1) coordinate subsets: refused before any is built
+    names = [f"x{i}" for i in range(1, 41)]
+    P = make_presentation(2, names, [("r", "x1^2 [x1, x2] [x39, x40]")])
+    started = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"^{2**40 - 2} decompositions exceed the search budget 4096$"):
+        search_mild(P)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_precision_error_when_z_unknown():
@@ -429,6 +443,10 @@ def test_demuskin_mildness_example():
     assert verdict.status == MILD
     assert verdict.certificate.decomposition.e == 1
     assert verdict.certificate.decomposition.c == 2
+    # demuskin gives the type report and the same verdict together
+    report, both = demuskin(DEMUSKIN_P3)
+    assert report == demuskin_type(DEMUSKIN_P3)
+    assert both.as_dict() == verdict.as_dict()
 
 
 def test_demuskin_mildness_finite_cyclic():
@@ -467,8 +485,6 @@ def test_verdicts_invariant_under_letter_permutations():
         relators = tuple(
             (name, substitute(w, images)) for name, w in P.relators
         )
-        from mildkit.magnus import Presentation
-
         Q = Presentation(P.p, P.names, P.tau, relators)
         assert zassenhaus_invariant(Q, 8) == zassenhaus_invariant(P, 8)
         assert search_mild(Q).status == search_mild(P).status
@@ -489,7 +505,7 @@ def expand_calls(monkeypatch):
     "P, run",
     [
         (CIRCUIT, search_mild),
-        (CIRCUIT, lambda P: check_mild(P, Decomposition(2, 1, _subset_permutation(4, (2, 4))))),
+        (CIRCUIT, lambda P: check_mild(P, subset_decomposition(4, (2, 4), 1))),
         (DEMUSKIN_P3, demuskin_mildness),
     ],
     ids=["search_mild", "check_mild", "demuskin_mildness"],
@@ -612,3 +628,50 @@ def test_readme_library_sequence_computes_each_expansion_once(expand_calls):
         (P.relators[0][1], (1, 1, 1), 1),
         (P.relators[0][1], (1, 1, 1), 8),
     ]
+
+
+# -- verdicts under the commutator convention and letter permutations ----------------
+
+
+def _opposite_convention(w: GroupWord) -> GroupWord:
+    """w with every commutator [a, b] written [a^-1, b^-1], which is a b a^-1 b^-1:
+    the opposite convention."""
+    def atom(a):
+        if isinstance(a, Commutator):
+            left, right = (_opposite_convention(x).inverse() for x in (a.left, a.right))
+            return replace(a, left=left, right=right)
+        if isinstance(a, Sub):
+            return replace(a, word=_opposite_convention(a.word))
+        return a
+
+    return GroupWord(tuple(atom(a) for a in w.factors))
+
+
+def _statuses(P):
+    """The search_mild status and, for one relator, the demuskin_mildness status."""
+    out = [search_mild(P).status]
+    if P.m == 1:
+        out.append(demuskin_mildness(P).status)
+    return out
+
+
+def _rewritten(P, rewrite):
+    return Presentation(P.p, P.names, P.tau, tuple((name, rewrite(w)) for name, w in P.relators))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations())
+def test_verdicts_invariant_under_the_opposite_commutator_convention(P):
+    assume(zassenhaus_invariant(P, 8) is not None)
+    assert _statuses(_rewritten(P, _opposite_convention)) == _statuses(P)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.data())
+def test_verdicts_invariant_under_letter_permutations_property(P, data):
+    assume(zassenhaus_invariant(P, 8) is not None)
+    perm = data.draw(st.permutations(range(1, P.d + 1)))
+    images = [GroupWord((Gen(i),)) for i in perm]
+    assert _statuses(_rewritten(P, lambda w: substitute(w, images))) == _statuses(P)
