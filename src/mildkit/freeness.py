@@ -228,12 +228,13 @@ class GradedQuotient:
     representative or rewrites to one, a {representative index:
     coefficient} dict otherwise.  Per degree each relator term is read
     through these tables once, for every beta at once, so a row is built by
-    lookups alone.  Degree n itself needs only its representatives, the
-    non-pivot columns of its elimination, so degree n's image tables are
-    built when degree n + 1 first needs them: at most one degree is pending
-    at a time, and the top degree asked for never builds its tables.  The
-    tables grow lazily, so an instance is not safe to share across threads
-    while it is being extended.
+    lookups alone.  A row is keyed by the column words beta_b * X_j, so
+    its pivot is its smallest word, and degree n needs only its non-pivot
+    words.  Its tables map to words until degree n + 1 first reads them;
+    only then are the word -> representative map and the pivot images
+    built, so the top degree asked for builds neither.  The tables grow
+    lazily, so an instance is not safe to share across threads while it
+    is being extended.
     """
 
     def __init__(self, ctx: Context, rhos, budget=None):
@@ -247,8 +248,8 @@ class GradedQuotient:
         self._reps: list[list[int]] = [[0]]
         # _images[n][j]: the image table of X_{j+1} into degree n (None if n < tau_{j+1})
         self._images: list[list[list | None]] = [[None] * ctx.d]
-        # the last degree's (column-index tables, pivot rows, column images)
-        # until _finish turns them into _images[n]
+        # the last degree's (column-word tables, pivot rows) until _finish
+        # turns them into _images[n]
         self._pending = None
 
     def dimension(self, n: int) -> int:
@@ -299,50 +300,37 @@ class GradedQuotient:
         base = ctx.d + 1
         # coordinates of A_n modulo sum_j R_{n - tau_j} X_j: one column per
         # beta_b * X_j, beta_b a representative of degree n - tau_j, keyed
-        # and sorted by the word
-        keys = []
-        for j, t in enumerate(ctx.tau):
-            if n >= t:
-                keys += [w * base + j + 1 for w in self._reps[n - t]]
-        keys.sort()
-        # the tables map to column indices until _finish rewrites them
-        images = [[0] * len(self._reps[n - t]) if n >= t else None for t in ctx.tau]
-        filled = [0] * ctx.d
-        for ci, key in enumerate(keys):
-            j = key % base - 1
-            images[j][filled[j]] = ci
-            filled[j] += 1
+        # by the word, so integer order is column order; the tables map to
+        # these words until _finish rewrites them
+        images = [[w * base + j + 1 for w in self._reps[n - t]] if n >= t else None
+                  for j, t in enumerate(ctx.tau)]
 
         nrows = sum(len(self._reps[n - sigma]) for sigma in self.sigmas if n >= sigma)
-        check_budget(nrows, len(keys), self.budget)
+        check_budget(nrows, sum(len(table) for table in images if table is not None), self.budget)
 
         red = RowReducer(ctx.p)
         for terms, sigma in zip(self._terms, self.sigmas):
             k = n - sigma
             if k < 0:
                 continue
-            coeffs = [c for c, _ in terms]
-            tables = [self._term_table(k, letters, images[letters[-1]]) for _, letters in terms]
-            for imgs in zip(*tables):
-                row: dict[int, int] = {}
-                for c, img in zip(coeffs, imgs):
+            # the rows beta * rho, one per representative beta of degree k,
+            # summed one term at a time
+            rows: list[dict[int, int]] = [{} for _ in self._reps[k]]
+            for c, letters in terms:
+                for row, img in zip(rows, self._term_table(k, letters, images[letters[-1]])):
                     if type(img) is int:
                         row[img] = row.get(img, 0) + c
                     else:
-                        for ci, v in img.items():
-                            row[ci] = row.get(ci, 0) + c * v
+                        for w, v in img.items():
+                            row[w] = row.get(w, 0) + c * v
+            for row in rows:
                 red.add(row)  # reduces mod p and drops zero entries
 
-        # column index -> its image in the degree-n basis, for now only
-        # the non-pivot columns; _finish images the pivots
-        col_image: list = [None] * len(keys)
-        reps = []
-        for ci, key in enumerate(keys):
-            if ci not in red.pivots:
-                col_image[ci] = len(reps)
-                reps.append(key)
-        self._reps.append(reps)
-        self._pending = (images, red.pivots, col_image)
+        # the representatives of degree n are its non-pivot columns
+        pivots = red.pivots
+        self._reps.append(sorted([w for table in images if table is not None
+                                  for w in table if w not in pivots]))
+        self._pending = (images, pivots)
 
     def _finish(self):
         """Fill the image tables of the pending degree, if any: only the
@@ -350,28 +338,31 @@ class GradedQuotient:
         them."""
         if self._pending is None:
             return
-        images, pivots, col_image = self._pending
+        images, pivots = self._pending
         self._pending = None
         # degree n is withdrawn until its tables are built, so an interrupted
         # rewrite leaves it to be recomputed rather than half rewritten
         reps = self._reps.pop()
         p = self.ctx.p
-        # a pivot's tail only touches larger columns, so in decreasing order
-        # each tail column is already imaged: this is the back-substitution
-        for ci in sorted(pivots, reverse=True):
-            prow = pivots.pop(ci)  # frees each pivot row once converted
-            del prow[ci]
+        # column word -> its image in the degree-n basis, for now only the
+        # non-pivot columns; a pivot's tail only touches larger columns, so
+        # in decreasing order each tail column is already imaged: this is
+        # the back-substitution
+        col_image = dict(zip(reps, range(len(reps))))
+        for w in sorted(pivots, reverse=True):
+            prow = pivots.pop(w)  # frees each pivot row once converted
+            del prow[w]
             if len(prow) == 1:
                 (k, v), = prow.items()
                 img = col_image[k]
                 if type(img) is int:
                     # one representative: the index itself when -v = 1
-                    col_image[ci] = img if v == p - 1 else {img: p - v}
+                    col_image[w] = img if v == p - 1 else {img: p - v}
                     continue
             img = self._push(prow, col_image, -1)
             # a pivot that rewrites to one representative is stored as that index
-            col_image[ci] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
-        images = [None if table is None else [col_image[ci] for ci in table] for table in images]
+            col_image[w] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
+        images = [None if table is None else [col_image[w] for w in table] for table in images]
         self._images.append(images)
         self._reps.append(reps)
 

@@ -31,31 +31,38 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """Reduce a copy of a row against the current pivots."""
+    def _eliminate(self, row: dict[int, int]):
+        """Reduce a copy of a row; returns it and its lead, None once zero."""
         p = self.p
-        row = {k: v % p for k, v in row.items() if v % p}
-        while row:
-            lead = min(row)
+        # a plain loop: on Python 3.11 a comprehension is a call per row
+        reduced = {}
+        for k, v in row.items():
+            if r := v % p:
+                reduced[k] = r
+        while reduced:
+            lead = min(reduced)
             piv = self.pivots.get(lead)
             if piv is None:
-                break
-            c = row[lead]
+                return reduced, lead
+            c = reduced[lead]
             for k, v in piv.items():
-                nv = (row.get(k, 0) - c * v) % p
+                nv = (reduced.get(k, 0) - c * v) % p
                 if nv:
-                    row[k] = nv
+                    reduced[k] = nv
                 else:
-                    row.pop(k, None)
-        return row
+                    reduced.pop(k, None)
+        return reduced, None
+
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """Reduce a copy of a row against the current pivots."""
+        return self._eliminate(row)[0]
 
     def add(self, row: dict[int, int]):
         """Insert a row; returns its pivot column, or None if dependent."""
-        row = self.reduce(row)
-        if not row:
+        row, lead = self._eliminate(row)
+        if lead is None:
             return None
-        lead = min(row)
-        if row[lead] != 1:  # normalise reduce's copy in place
+        if row[lead] != 1:  # normalise the copy in place
             inv = pow(row[lead], -1, self.p)
             for k, v in row.items():
                 row[k] = v * inv % self.p
@@ -108,7 +115,9 @@ def dense_rank(p: int, matrix) -> int:
 def kernel_basis(p: int, matrix, ncols: int):
     """Basis of the right kernel of an m x ncols matrix over F_p."""
     red = RowReducer(p)
-    for row in matrix:
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
         red.add({j: v for j, v in enumerate(row) if v % p})
     red.finalize()
     basis = []

@@ -338,24 +338,25 @@ def _reference_degree(q, n, rows):
     non-pivot columns."""
     ctx = q.ctx
     base = ctx.d + 1
-    keys = sorted(w * base + j + 1 for j, t in enumerate(ctx.tau) if n >= t for w in q._reps[n - t])
+    # the recorded rows are keyed by column word
+    words = sorted(w * base + j + 1 for j, t in enumerate(ctx.tau) if n >= t for w in q._reps[n - t])
     red = RowReducer(ctx.p)
     for row in rows:
         red.add(row)
     for lead in sorted(red.pivots, reverse=True):
         tail = reduce_fully(red, {k: v for k, v in red.pivots.pop(lead).items() if k != lead})
         red.pivots[lead] = {**tail, lead: 1}
-    col_image = [None] * len(keys)
+    col_image = {}
     reps = []
-    for ci, key in enumerate(keys):
-        if ci not in red.pivots:
-            col_image[ci] = len(reps)
-            reps.append(key)
+    for w in words:
+        if w not in red.pivots:
+            col_image[w] = len(reps)
+            reps.append(w)
     while red.pivots:
-        ci, prow = red.pivots.popitem()
-        img = {col_image[k]: (-v) % ctx.p for k, v in prow.items() if k != ci}
-        col_image[ci] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
-    images = [None if n < t else [col_image[ci] for ci, key in enumerate(keys) if key % base == j + 1]
+        w, prow = red.pivots.popitem()
+        img = {col_image[k]: (-v) % ctx.p for k, v in prow.items() if k != w}
+        col_image[w] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
+    images = [None if n < t else [col_image[w] for w in words if w % base == j + 1]
               for j, t in enumerate(ctx.tau)]
     return reps, images
 
@@ -513,6 +514,28 @@ def test_budget_enforced():
     assert q._images == unbudgeted._images
     with pytest.raises(BudgetError):
         ideal_slice(CTX4, circuit(CTX4), 6, budget=10)
+
+
+def test_budget_sees_the_weighted_matrix_shape(monkeypatch):
+    # tau = (1, 2, 1): degree n's matrix has sum_i b_{n - sigma_i} rows and
+    # sum_j b_{n - tau_j} columns, one per word beta * X_j
+    ctx = Context(3, 3, (1, 2, 1))
+    rhos = [ctx.poly([((1, 3), 1), ((3, 1), -1)]),
+            ctx.poly([((2, 1), 1), ((1, 2), -1), ((1, 1, 1), 1)])]
+    shapes = []
+    monkeypatch.setattr("mildkit.freeness.check_budget", lambda rows, cols, budget: shapes.append((rows, cols)))
+    q = GradedQuotient(ctx, rhos)
+    b = q.dimensions(8)
+    assert shapes == [(sum(b[n - s] for s in (2, 3) if n >= s), sum(b[n - t] for t in ctx.tau if n >= t))
+                      for n in range(1, 9)]
+    monkeypatch.undo()
+    # degree 6 (19 x 52 = 988) fits a budget of 1000 and degree 7 (32 x 86)
+    # does not, so a count one column off would move the refusal
+    assert shapes[5:7] == [(19, 52), (32, 86)]
+    q = GradedQuotient(ctx, rhos, budget=1000)
+    assert q.dimensions(6) == b[:7]
+    with pytest.raises(BudgetError):
+        q.dimension(7)
 
 
 # -- the oracle ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reduce_fully
 from mildkit.errors import BudgetError
@@ -71,6 +72,57 @@ def test_add_normalises_without_touching_the_callers_row(p):
     assert red.pivots[lead][lead] == 1
 
 
+def _reference_add(pivots, p, row):
+    """The echelon insert written out: reduce the leading column against
+    its pivot until it has none, then store the row scaled to lead 1."""
+    vec = {k: v % p for k, v in row.items() if v % p}
+    while vec:
+        lead = min(vec)
+        if lead not in pivots:
+            inv = pow(vec[lead], p - 2, p)
+            pivots[lead] = {k: v * inv % p for k, v in vec.items()}
+            return lead
+        c = vec[lead]
+        for k, v in pivots[lead].items():
+            vec[k] = vec.get(k, 0) - c * v
+        vec = {k: v % p for k, v in vec.items() if v % p}
+    return None
+
+
+@st.composite
+def row_sequences(draw):
+    """p and rows with negative entries, multiples of p and rows that are
+    combinations of earlier ones."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            combo: dict[int, int] = {}
+            for row in rows:
+                c = draw(st.integers(-p, p))
+                for k, v in row.items():
+                    combo[k] = combo.get(k, 0) + c * v
+            rows.append(combo)
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, 7), st.integers(-2 * p, 2 * p), max_size=5)))
+    return p, rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(row_sequences())
+@example((3, [{0: 1, 2: 2}, {0: -4, 2: 4}, {1: 3, 5: -6}, {2: 5, 4: 1}]))
+def test_add_matches_reference_elimination(case):
+    p, rows = case
+    red = RowReducer(p)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        before = dict(row)
+        assert red.add(row) == _reference_add(pivots, p, before)
+        assert row == before
+        assert red.pivots == pivots
+        assert red.rank == len(pivots)
+
+
 def test_solve_combination():
     cols = [{0: 1, 1: 1}, {1: 1}]
     assert solve_combination(5, cols, {0: 2, 1: 3}) == [2, 1]
@@ -109,6 +161,15 @@ def test_kernel_basis():
     for vec in kern:
         assert (vec[0] + vec[1]) % 3 == 0
     assert kernel_basis(2, [[1, 0], [0, 1]], 2) == []
+
+
+def test_kernel_basis_refuses_rows_of_the_wrong_length():
+    # a row whose length is not ncols is refused; [[0, 0, 1]] with ncols 2
+    # used to give the whole plane as its kernel
+    with pytest.raises(ValueError, match="row 0 has 3 entries, expected 2"):
+        kernel_basis(3, [[0, 0, 1]], 2)
+    with pytest.raises(ValueError):
+        kernel_basis(3, [[1, 1, 0], [1]], 3)
 
 
 def test_is_invertible():
