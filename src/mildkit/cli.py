@@ -38,7 +38,7 @@ from . import freeness, massey
 from .algebra import series_compare, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
 from .magnus import Presentation, expand, initial_form, parse_word, word_to_text
-from .lie import hall_basis, restricted_basis
+from .lie import hall_basis_by_tau_degree, restricted_basis
 from .orders import parse_order_spec
 
 DEFAULT_BUDGET = 2_000_000
@@ -427,7 +427,7 @@ def cmd_hall(run):
         basis = restricted_basis(args.d, args.n, args.p, tau)
         listing = [e.format(p=args.p) for e in basis]
     else:
-        basis = [c for c in hall_basis(args.d, args.n, tau)]
+        basis = hall_basis_by_tau_degree(args.d, args.n, tau)
         listing = [c.format() for c in basis]
     return {"inputs": inputs, "result": {"size": len(basis), "elements": listing}}
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .algebra import Context, IntSeries, Monomial, check_weights
 from .errors import InternalInvariantError
 from .linalg import RowReducer, check_budget
+from .orders import high_term
 
 PROVEN = "proven-strongly-free"
 REFUTED = "refuted"
@@ -155,8 +156,6 @@ def anick_check(rhos, order) -> FreenessVerdict:
     """High-term criterion: if the high terms under a multiplicative order
     are combinatorially free, the sequence is strongly free.  Inconclusive
     otherwise (consistent-to-degree 0); this route never refutes."""
-    from .orders import high_term
-
     highs = []
     for k, rho in enumerate(rhos):
         if rho.is_zero:

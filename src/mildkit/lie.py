@@ -10,6 +10,7 @@ equal weight compare lexicographically by (left, right).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Context, Poly, check_weights, is_prime
 from .errors import MildkitError
@@ -32,7 +33,7 @@ class HallElement:
     def is_leaf(self) -> bool:
         return self.letter is not None
 
-    @property
+    @cached_property
     def key(self):
         """Total-order key: weight first, then leaves X_1 > ... > X_d,
         then lexicographic in (left, right)."""
@@ -57,10 +58,9 @@ def _bracket(a: HallElement, b: HallElement) -> HallElement:
     return HallElement(None, a, b, a.weight + b.weight, a.tau_degree + b.tau_degree)
 
 
-def hall_basis(d: int, n: int, tau=None) -> list[HallElement]:
+def hall_basis(d: int, n: int) -> list[HallElement]:
     """All Hall commutators of weight n over d generators, sorted."""
-    layers = hall_layers(d, n, tau)
-    return layers[n]
+    return hall_layers(d, n)[n]
 
 
 def hall_layers(d: int, n: int, tau=None) -> list[list[HallElement]]:
@@ -215,7 +215,7 @@ def lie_membership(f: Poly, n: int):
     return _solve_over(ctx, basis, f, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerCommutatorSplit:
     """Unique coordinates over the restricted Hall basis, partitioned into
     genuine p-power elements (j >= 1) and pure commutators."""

@@ -421,7 +421,7 @@ class Presentation:
             if name in seen:
                 raise ValueError(f"duplicate relator name {name!r}")
             seen.add(name)
-        ctx = self.context(unweighted=True)  # validates the prime as well
+        ctx = Context(self.p, self.d)  # validates the prime as well
         for name, w in self.relators:
             if expand(w, ctx, 1).valuation is not None:
                 raise ValueError(
@@ -436,16 +436,14 @@ class Presentation:
     def m(self) -> int:
         return len(self.relators)
 
-    def context(self, tau=None, unweighted=False) -> Context:
-        if unweighted:
-            return Context(self.p, self.d)
+    def context(self, tau=None) -> Context:
         return Context(self.p, self.d, self.tau if tau is None else check_weights(tau))
 
     def expansions(self, cutoff: int) -> list:
         """The relators' unweighted expansions, truncated past the cutoff:
         every coefficient of degree <= cutoff is exact, so z(G) and each
         Massey tensor up to the cutoff are read off them."""
-        ctx = self.context(unweighted=True)
+        ctx = Context(self.p, self.d)
         return [expand(w, ctx, cutoff) for _, w in self.relators]
 
     def relator_words(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import INFINITY, Context, Monomial, Poly
 from .errors import BudgetError, PrecisionError
@@ -190,7 +190,7 @@ def _shuffle_patterns(a: int, b: int):
     return patterns
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShuffleReport:
     a: int
     b: int
@@ -268,11 +268,6 @@ class Decomposition:
     e: int
     matrix: tuple | None = None
 
-    def rows(self, d: int):
-        if self.matrix is None:
-            return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        return [list(row) for row in self.matrix]
-
     def as_dict(self):
         out = {"c": self.c, "e": self.e}
         if self.matrix is not None:
@@ -280,7 +275,7 @@ class Decomposition:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MildCertificate:
     """Re-execution of the criterion's proof path: the transformed,
     row-reduced degree-n relator forms, their high terms under the subset
@@ -306,7 +301,7 @@ class MildCertificate:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class MildVerdict:
     status: str
     reason: str = ""
@@ -349,11 +344,10 @@ def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
         raise ValueError(f"need 1 <= c < d = {d}, got c = {c}")
     if not 1 <= e <= n - 1:
         raise ValueError(f"need 1 <= e <= n - 1 = {n - 1}, got e = {e}")
-    rows = D.rows(d)
-    if not is_invertible(p, rows):
-        raise ValueError("basis-change matrix is not invertible")
     if D.matrix is not None:
-        T = T.transformed(rows)
+        if not is_invertible(p, D.matrix):
+            raise ValueError("basis-change matrix is not invertible")
+        T = T.transformed(D.matrix)
 
     # (a) vanishing on tuples with >= n - e + 1 entries in V
     for j, vals in enumerate(T.values):
@@ -376,7 +370,7 @@ def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
             for u in itertools.product(range(1, c + 1), repeat=e)
             for v in itertools.product(range(c + 1, d + 1), repeat=n - e)
         ),
-        key=order.sort_key(),
+        key=order.key,
         reverse=True,
     )
     width = len(block)
@@ -465,8 +459,7 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     for D, label in cases:
         verdict = _decide(T, D)
         if verdict.is_mild:
-            verdict.reason = f"found by search: {label}"
-            return verdict
+            return replace(verdict, reason=f"found by search: {label}")
     return MildVerdict(
         CRITERION_FAILED,
         f"criterion failed for all {count} searched decompositions",
@@ -477,7 +470,7 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
 # one-relator reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MembershipRecord:
     tau: tuple[int, ...]
     valuation: int | None
@@ -495,7 +488,7 @@ class MembershipRecord:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class OneRelatorReport:
     p: int
     d: int
@@ -626,7 +619,7 @@ def one_relator_verdict(
 # Demuškin type
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DemuskinTypeReport:
     is_type: bool
     n: int
@@ -725,9 +718,8 @@ def demuskin(
     rows.append(chi)
     verdict = _decide(T, Decomposition(d - 1, 1, tuple(rows)))
     if verdict.is_mild:
-        verdict.reason = (
-            f"Demuškin-type construction with chi = {list(chi)} spanning V"
-        )
+        reason = f"Demuškin-type construction with chi = {list(chi)} spanning V"
+        verdict = replace(verdict, reason=reason)
     return report, verdict
 
 

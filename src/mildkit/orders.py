@@ -5,6 +5,11 @@ permutation of the letters, and the subset orders that additionally count
 how many letters fall outside a distinguished subset U and how far right
 the out-of-U letters sit.  Both compare weighted degree first, so they are
 multiplicative for any weight vector.
+
+An order is its sort key: `order.key(m)` is a tuple that compares as the
+order does, so sorting, maximising (`high_term`) and the certificate's
+block columns all read the order through `key`.  Distinct words get
+distinct keys, because every key ends with the word's ranked letters.
 """
 
 from __future__ import annotations
@@ -12,47 +17,17 @@ from __future__ import annotations
 import random
 
 from .algebra import Monomial, check_weights
-from .errors import InternalInvariantError, ParseError
+from .errors import ParseError
 
 LT, EQ, GT = -1, 0, 1
 
 
 class MonomialOrder:
-    """Base class; subclasses implement compare(a, b) -> {-1, 0, 1}."""
+    """Base class over a weight vector and a letter permutation; subclasses
+    implement key(m), from which compare(a, b) -> {-1, 0, 1} is derived (an
+    order without a key may implement compare alone)."""
 
     tau: tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.tau)
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def sort_key(self):
-        import functools
-
-        return functools.cmp_to_key(self.compare)
-
-    def _lex(self, a: Monomial, b: Monomial, rank) -> int:
-        # Called with deg(a) == deg(b); distinct words of equal weighted
-        # degree can never be prefixes of one another, so the first
-        # differing position always exists.
-        for x, y in zip(a.letters, b.letters):
-            if x != y:
-                return LT if rank[x] < rank[y] else GT
-        if len(a.letters) != len(b.letters):
-            raise InternalInvariantError(
-                f"equal-degree words {a} and {b} in prefix relation"
-            )
-        return EQ
-
-
-class DegLexOrder(MonomialOrder):
-    """Weighted degree first, then lexicographic in a letter permutation."""
 
     def __init__(self, tau, letter_order=None):
         self.tau = check_weights(tau)
@@ -63,10 +38,28 @@ class DegLexOrder(MonomialOrder):
             raise ValueError(f"letter order {letter_order} is not a permutation of 1..{self.d}")
         self.rank = {letter: pos for pos, letter in enumerate(self.letter_order)}
 
+    @property
+    def d(self) -> int:
+        return len(self.tau)
+
+    def key(self, m: Monomial) -> tuple:
+        raise NotImplementedError
+
     def compare(self, a: Monomial, b: Monomial) -> int:
-        if a.tau_degree != b.tau_degree:
-            return LT if a.tau_degree < b.tau_degree else GT
-        return self._lex(a, b, self.rank)
+        ka, kb = self.key(a), self.key(b)
+        return (ka > kb) - (ka < kb)
+
+    def describe(self) -> str:
+        raise NotImplementedError
+
+
+class DegLexOrder(MonomialOrder):
+    """Weighted degree first, then lexicographic in a letter permutation.
+    Distinct words of equal weighted degree are never prefixes of one
+    another, so the ranked letters decide at their first difference."""
+
+    def key(self, m: Monomial) -> tuple:
+        return (m.tau_degree, tuple([self.rank[x] for x in m.letters]))
 
     def describe(self) -> str:
         perm = "<".join(f"X{i}" for i in self.letter_order)
@@ -86,16 +79,10 @@ class UOrder(MonomialOrder):
     """
 
     def __init__(self, u, tau, letter_order=None):
-        self.tau = check_weights(tau)
+        super().__init__(tau, letter_order)
         self.u = frozenset(u)
         if not all(1 <= i <= self.d for i in self.u):
             raise ValueError(f"U = {sorted(self.u)} not a subset of 1..{self.d}")
-        if letter_order is None:
-            letter_order = tuple(range(1, self.d + 1))
-        self.letter_order = tuple(letter_order)
-        if sorted(self.letter_order) != list(range(1, self.d + 1)):
-            raise ValueError(f"letter order {letter_order} is not a permutation of 1..{self.d}")
-        self.rank = {letter: pos for pos, letter in enumerate(self.letter_order)}
 
     def stats(self, m: Monomial) -> tuple[int, int]:
         """Subset-order statistics (l_u, k_u) of a word: l_u counts letters
@@ -111,13 +98,8 @@ class UOrder(MonomialOrder):
                 k_u += prefix_deg
         return l_u, k_u
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        if a.tau_degree != b.tau_degree:
-            return LT if a.tau_degree < b.tau_degree else GT
-        sa, sb = self.stats(a), self.stats(b)
-        if sa != sb:
-            return LT if sa < sb else GT
-        return self._lex(a, b, self.rank)
+    def key(self, m: Monomial) -> tuple:
+        return (m.tau_degree, self.stats(m), tuple([self.rank[x] for x in m.letters]))
 
     def describe(self) -> str:
         u = ",".join(f"X{i}" for i in sorted(self.u))
@@ -132,11 +114,7 @@ def high_term(order: MonomialOrder, a) -> Monomial:
     """The order-maximal monomial of a nonzero polynomial."""
     if a.is_zero:
         raise ValueError("the zero polynomial has no high term")
-    best = None
-    for m in a.terms:
-        if best is None or order.compare(m, best) == GT:
-            best = m
-    return best
+    return max(a.terms, key=order.key)
 
 
 def check_multiplicative(order, trials: int, max_len: int, seed: int):

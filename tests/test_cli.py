@@ -253,6 +253,14 @@ def test_hall_command(capsys):
     assert doc["result"]["size"] == 3
 
 
+def test_hall_lists_by_weighted_degree(capsys):
+    # at weights (2, 1) the only Hall commutator of weighted degree 4 is
+    # [[X1,X2],X2]; the bracket weight 4 would list three
+    code, doc = run_json(capsys, "hall", "--d", "2", "--n", "4", "--weights", "2,1")
+    assert code == 0
+    assert doc["result"] == {"size": 1, "elements": ["[[X1,X2],X2]"]}
+
+
 def test_series_admissible_command(capsys):
     code, doc = run_json(
         capsys, "series-admissible", "--tau", "1,1,1", "--sigma", "2,2,2",

@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -190,6 +190,20 @@ def test_shuffles_detect_corruption():
     assert any(not check_shuffles(bad, a, 3 - a).ok for a in (1, 2))
 
 
+def test_shuffles_sample_when_the_space_is_large():
+    T = massey_tensor(DEMUSKIN_P3, 3)  # 27 tuples
+    report = check_shuffles(T, 1, 2, max_tuples=5, seed=3)
+    assert report.checked == 5
+    assert report.ok
+    # every entry 1 mod 5: each tuple's three (1,2)-shuffles sum to 3
+    ones = {i: 1 for i in itertools.product(range(1, 5), repeat=3)}
+    bad = type(T)(5, 4, 3, ("r",), (ones,))
+    report = check_shuffles(bad, 1, 2, max_tuples=10, seed=3)
+    assert report.checked == 10
+    assert len(report.violations) == 10
+    assert check_shuffles(bad, 1, 2, max_tuples=10, seed=3) == report  # same sample
+
+
 def test_shuffles_validate_split():
     T = massey_tensor(DEMUSKIN_P3, 3)
     with pytest.raises(ValueError):
@@ -329,6 +343,15 @@ def test_search_mild_demuskin_finds_identity_split():
 
 def test_search_mild_circuit():
     assert search_mild(CIRCUIT).status == MILD
+
+
+def test_verdicts_are_frozen():
+    verdict = search_mild(CIRCUIT)
+    assert verdict.reason == "found by search: U = span(1, 3), e = 1"
+    with pytest.raises(FrozenInstanceError):
+        verdict.reason = ""
+    with pytest.raises(FrozenInstanceError):
+        verdict.certificate.notes = ""
 
 
 def test_search_mild_free():

@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_monomial, random_poly
 from mildkit import Context
@@ -183,3 +185,59 @@ def test_parse_order_specs():
         parse_order_spec("u-order:x1", names, tau)
     with pytest.raises(ParseError):
         parse_order_spec("weird:x1", names, tau)
+
+
+def reference_compare(order, a, b):
+    """The orders written out as pairwise comparisons: weighted degree,
+    then for a subset order the out-of-U count l_u and the rightward sum
+    k_u, then the first differing letter in the letter order."""
+    if a.tau_degree != b.tau_degree:
+        return LT if a.tau_degree < b.tau_degree else GT
+    if isinstance(order, UOrder):
+
+        def stats(m):
+            l_u = k_u = prefix = 0
+            for letter in m.letters:
+                prefix += order.tau[letter - 1]
+                if letter not in order.u:
+                    l_u += 1
+                    k_u += prefix
+            return l_u, k_u
+
+        sa, sb = stats(a), stats(b)
+        if sa != sb:
+            return LT if sa < sb else GT
+    for x, y in zip(a.letters, b.letters):
+        if x != y:
+            return LT if order.letter_order.index(x) < order.letter_order.index(y) else GT
+    assert len(a.letters) == len(b.letters), "equal-degree words in prefix relation"
+    return EQ
+
+
+@st.composite
+def orders_and_words(draw):
+    d = draw(st.integers(2, 4))
+    tau = tuple(draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+    perm = tuple(draw(st.permutations(range(1, d + 1))))
+    if draw(st.booleans()):
+        order = DegLexOrder(tau, perm)
+    else:
+        order = UOrder(draw(st.sets(st.integers(1, d))), tau, perm)
+    ctx = Context(3, d, tau)
+    word = st.lists(st.integers(1, d), max_size=5).map(lambda letters: ctx.monomial(tuple(letters)))
+    return order, ctx, draw(st.lists(word, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(orders_and_words())
+def test_key_agrees_with_the_reference_comparison(case):
+    order, ctx, words = case
+    cmp = functools.partial(reference_compare, order)
+    assert sorted(words, key=order.key) == sorted(words, key=functools.cmp_to_key(cmp))
+    for a in words:
+        for b in words:
+            assert order.compare(a, b) == cmp(a, b)
+    f = ctx.poly([(m, 1) for m in words])
+    if not f.is_zero:
+        reference = functools.reduce(lambda x, y: y if cmp(y, x) == GT else x, f.terms)
+        assert high_term(order, f) == reference
