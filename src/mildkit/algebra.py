@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ContextMismatchError
 
@@ -346,3 +346,28 @@ def series_compare(a: IntSeries, b: IntSeries) -> str:
         if x != y:
             return GREATER if x > y else LESS
     return EQUAL_TO_CUTOFF
+
+
+class Record:
+    """Base of the result dataclasses.  `as_dict` is the JSON envelope of a
+    record: its fields in declaration order, leaving out a field that is
+    None or "" (0 and False stay).  Nested records and sequences recurse,
+    and a Poly or Monomial prints with `format(names)`."""
+
+    def as_dict(self, names=None) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value != "":
+                out[f.name] = _envelope(value, names)
+        return out
+
+
+def _envelope(value, names):
+    if isinstance(value, Record):
+        return value.as_dict(names)
+    if isinstance(value, (Poly, Monomial)):
+        return value.format(names)
+    if isinstance(value, (tuple, list)):
+        return [_envelope(v, names) for v in value]
+    return value

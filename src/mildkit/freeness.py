@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Context, IntSeries, Monomial, check_weights
+from .algebra import Context, IntSeries, Monomial, Record, check_weights
 from .errors import InternalInvariantError
 from .linalg import RowReducer, check_budget
 from .orders import high_term
@@ -106,21 +106,15 @@ def combinatorially_free(rhos) -> CombFreeResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FreenessCertificate:
+class FreenessCertificate(Record):
     """Names the order and the high terms that witnessed a proof."""
 
     order: str
     high_terms: tuple[Monomial, ...]
 
-    def as_dict(self, names=None):
-        return {
-            "order": self.order,
-            "high_terms": [m.format(names) for m in self.high_terms],
-        }
-
 
 @dataclass(frozen=True)
-class FreenessVerdict:
+class FreenessVerdict(Record):
     status: str
     engine: str
     degree: int | None = None
@@ -137,19 +131,12 @@ class FreenessVerdict:
     def refuted(self) -> bool:
         return self.status == REFUTED
 
-    def as_dict(self, names=None):
-        out = {"status": self.status, "engine": self.engine}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.at_degree is not None:
-            out["at_degree"] = self.at_degree
-        if self.witness_coefficient is not None:
-            out["witness_coefficient"] = self.witness_coefficient
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.as_dict(names)
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+
+def _check_form(k: int, rho):
+    if rho.is_zero:
+        raise ValueError(f"rho_{k + 1} is zero")
+    if not rho.is_homogeneous():
+        raise ValueError(f"rho_{k + 1} is not homogeneous: degrees {rho.degrees()}")
 
 
 def anick_check(rhos, order) -> FreenessVerdict:
@@ -158,10 +145,7 @@ def anick_check(rhos, order) -> FreenessVerdict:
     otherwise (consistent-to-degree 0); this route never refutes."""
     highs = []
     for k, rho in enumerate(rhos):
-        if rho.is_zero:
-            raise ValueError(f"rho_{k + 1} is zero")
-        if not rho.is_homogeneous():
-            raise ValueError(f"rho_{k + 1} is not homogeneous: degrees {rho.degrees()}")
+        _check_form(k, rho)
         highs.append(high_term(order, rho))
     result = combinatorially_free(highs)
     if result.free:
@@ -193,10 +177,7 @@ def _check_relators(ctx: Context, rhos):
     for k, rho in enumerate(rhos):
         if rho.ctx != ctx:
             raise ValueError(f"rho_{k + 1} built over a different context")
-        if rho.is_zero:
-            raise ValueError(f"rho_{k + 1} is zero")
-        if not rho.is_homogeneous():
-            raise ValueError(f"rho_{k + 1} is not homogeneous: degrees {rho.degrees()}")
+        _check_form(k, rho)
         sigma = rho.tau_valuation()
         if sigma < 1:
             raise ValueError(f"rho_{k + 1} has a constant term")
@@ -405,7 +386,7 @@ def target_series(tau, sigmas, N: int) -> IntSeries:
 
 
 @dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(Record):
     status: str
     degree: int
     at_degree: int | None = None
@@ -414,13 +395,6 @@ class AdmissibilityResult:
     @property
     def admissible(self) -> bool:
         return self.status == ADMISSIBLE
-
-    def as_dict(self):
-        out = {"status": self.status, "degree": self.degree}
-        if self.at_degree is not None:
-            out["at_degree"] = self.at_degree
-            out["coefficient"] = self.coefficient
-        return out
 
 
 def series_admissibility(tau, sigmas, N: int) -> AdmissibilityResult:

@@ -227,12 +227,6 @@ class PowerCommutatorSplit:
     def is_lie(self) -> bool:
         return not self.power_part
 
-    def as_dict(self, names=None, p=None):
-        return {
-            "power_part": [(e.format(names, p), c) for e, c in self.power_part],
-            "lie_part": [(e.format(names, p), c) for e, c in self.lie_part],
-        }
-
 
 def p_power_commutator_split(f: Poly, n: int) -> PowerCommutatorSplit:
     """Split f over the restricted Hall basis of its degree; raises

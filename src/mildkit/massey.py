@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, replace
 
-from .algebra import INFINITY, Context, Monomial, Poly
+from .algebra import INFINITY, Context, Monomial, Poly, Record
 from .errors import BudgetError, PrecisionError
 from .freeness import FreenessVerdict, anick_check
 from .lie import NotInRestrictedLieError, lie_membership, p_power_commutator_split
@@ -201,39 +202,22 @@ class ShuffleReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def as_dict(self):
-        return {
-            "a": self.a,
-            "b": self.b,
-            "checked": self.checked,
-            "violations": [
-                {"relator": name, "tuple": list(i)} for name, i in self.violations
-            ],
-        }
-
 
 def check_shuffles(T: MasseyTensor, a: int, b: int, max_tuples=200000, seed=0) -> ShuffleReport:
     """Verify that the sum over all (a,b)-shuffles of the tensor entries
-    vanishes, for every basis tuple (or a seeded random sample when the
-    index space exceeds max_tuples)."""
+    vanishes, for every basis tuple (or a seeded sample of max_tuples
+    distinct tuples when the index space exceeds max_tuples)."""
     if a < 1 or b < 1 or a + b != T.n:
         raise ValueError(f"need a, b >= 1 with a + b = {T.n}")
     patterns = _shuffle_patterns(a, b)
     p = T.p
     space = T.d ** T.n
     if space <= max_tuples:
-        tuples = itertools.product(range(1, T.d + 1), repeat=T.n)
-        checked = space
+        indices = range(space)
     else:
-        import random
-
-        rng = random.Random(seed)
-        tuples = [
-            tuple(rng.randint(1, T.d) for _ in range(T.n)) for _ in range(max_tuples)
-        ]
-        checked = max_tuples
+        indices = sorted(random.Random(seed).sample(range(space), max_tuples))
+    tuples = [_base_d_tuple(k, T.d, T.n) for k in indices]
     violations = []
-    tuples = list(tuples)
     for j, vals in enumerate(T.values):
         for index in tuples:
             total = 0
@@ -242,7 +226,12 @@ def check_shuffles(T: MasseyTensor, a: int, b: int, max_tuples=200000, seed=0) -
                 total += vals.get(shuffled, 0)
             if total % p:
                 violations.append((T.relator_names[j], index))
-    return ShuffleReport(a, b, checked, violations)
+    return ShuffleReport(a, b, len(tuples), violations)
+
+
+def _base_d_tuple(k: int, d: int, n: int) -> tuple:
+    """The k-th basis tuple of length n over 1..d in lexicographic order."""
+    return tuple(k // d ** (n - 1 - s) % d + 1 for s in range(n))
 
 
 def bn_map(T: MasseyTensor) -> list[list[int]]:
@@ -259,7 +248,7 @@ def bn_map(T: MasseyTensor) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A splitting of the dual basis: after the (optional) basis change,
     U is spanned by the first c coordinates and V by the rest; e is the
     number of U-slots required on the left of the surjectivity block."""
@@ -268,15 +257,9 @@ class Decomposition:
     e: int
     matrix: tuple | None = None
 
-    def as_dict(self):
-        out = {"c": self.c, "e": self.e}
-        if self.matrix is not None:
-            out["matrix"] = [list(row) for row in self.matrix]
-        return out
-
 
 @dataclass(frozen=True)
-class MildCertificate:
+class MildCertificate(Record):
     """Re-execution of the criterion's proof path: the transformed,
     row-reduced degree-n relator forms, their high terms under the subset
     order, and the combinatorial-freeness outcome."""
@@ -289,20 +272,9 @@ class MildCertificate:
     anick: FreenessVerdict
     notes: str = ""
 
-    def as_dict(self, names=None):
-        return {
-            "n": self.n,
-            "order": self.order,
-            "decomposition": self.decomposition.as_dict(),
-            "initial_forms": [f.format(names) for f in self.initial_forms],
-            "high_terms": [m.format(names) for m in self.high_terms],
-            "anick": self.anick.as_dict(names),
-            "notes": self.notes,
-        }
-
 
 @dataclass(frozen=True)
-class MildVerdict:
+class MildVerdict(Record):
     status: str
     reason: str = ""
     certificate: MildCertificate | None = None
@@ -310,14 +282,6 @@ class MildVerdict:
     @property
     def is_mild(self) -> bool:
         return self.status == MILD
-
-    def as_dict(self, names=None):
-        out = {"status": self.status}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.as_dict(names)
-        return out
 
 
 def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdict:
@@ -473,19 +437,9 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
 @dataclass(frozen=True)
 class MembershipRecord:
     tau: tuple[int, ...]
-    valuation: int | None
-    is_lie: bool | None
+    valuation: int
+    is_lie: bool
     coordinates: list | None = None
-
-    def as_dict(self, names=None):
-        return {
-            "tau": list(self.tau),
-            "valuation": self.valuation,
-            "is_lie": self.is_lie,
-            "coordinates": None
-            if self.coordinates is None
-            else [(e.format(names), c) for e, c in self.coordinates],
-        }
 
 
 @dataclass(frozen=True)
@@ -505,27 +459,6 @@ class OneRelatorReport:
     demuskin_type: object | None = None
     demuskin_verdict: MildVerdict | None = None
     notes: str = ""
-
-    def as_dict(self, names=None):
-        return {
-            "p": self.p,
-            "d": self.d,
-            "relator": self.relator,
-            "z": self.z,
-            "status": self.status,
-            "routes": self.routes,
-            "z_coprime_to_p": self.coprime,
-            "memberships": [m.as_dict(names) for m in self.memberships],
-            "split": self.split.as_dict(names, self.p) if self.split else None,
-            "split_error": self.split_error,
-            "bp_matrix": self.bp_matrix,
-            "bp_kernel": self.bp_kernel,
-            "demuskin_type": self.demuskin_type.as_dict() if self.demuskin_type else None,
-            "demuskin_verdict": self.demuskin_verdict.as_dict(names)
-            if self.demuskin_verdict
-            else None,
-            "notes": self.notes,
-        }
 
 
 def _one_relator(P: Presentation, what: str):
@@ -569,11 +502,9 @@ def one_relator_verdict(
     taus.extend(tuple(t) for t in extra_taus)
     memberships = []
     for tau in taus:
+        # not None: a word of length z <= cutoff has weight <= cutoff * max(tau)
         e = expand(w, P.context(tau), cutoff * max(tau))
         val = e.valuation
-        if val is None:
-            memberships.append(MembershipRecord(tau, None, None))
-            continue
         coords = lie_membership(e.component(val), val)
         memberships.append(MembershipRecord(tau, val, coords is not None, coords))
         if coords is not None:

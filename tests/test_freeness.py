@@ -121,6 +121,25 @@ def test_anick_rejects_inhomogeneous():
         anick_check([bad], DegLexOrder((1, 1)))
 
 
+def test_anick_rejects_a_zero_form():
+    with pytest.raises(ValueError, match="^rho_2 is zero$"):
+        anick_check([CTX2.gen(1), CTX2.poly([])], DegLexOrder((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (CTX3.gen(1), "rho_2 built over a different context"),
+        (CTX2.poly([]), "rho_2 is zero"),
+        (CTX2.gen(1) + CTX2.poly([((1, 2), 1)]), r"rho_2 is not homogeneous: degrees \[1, 2\]"),
+        (CTX2.poly([((), 1)]), "rho_2 has a constant term"),
+    ],
+)
+def test_oracle_rejects_a_bad_form(rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        strongly_free_oracle(CTX2, [CTX2.gen(2), rho], 3)
+
+
 # -- slices and dimensions ----------------------------------------------------
 
 

@@ -11,7 +11,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from conftest import count_expansions
 from mildkit.cli import main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
-from mildkit.freeness import PROVEN, CONSISTENT, anick_check, strongly_free_oracle
+from mildkit.algebra import Context
+from mildkit.freeness import (
+    ADMISSIBLE, INADMISSIBLE, PROVEN, CONSISTENT, REFUTED, AdmissibilityResult, FreenessCertificate,
+    FreenessVerdict, anick_check, strongly_free_oracle,
+)
 from mildkit.lie import hall_basis, hall_to_group_word
 from mildkit.magnus import (
     Commutator, GroupWord, Gen, Presentation, Sub, _expansion, expand, initial_form, make_presentation,
@@ -22,6 +26,8 @@ from mildkit.massey import (
     MILD,
     NOT_APPLICABLE,
     Decomposition,
+    MildCertificate,
+    MildVerdict,
     bn_map,
     check_mild,
     check_shuffles,
@@ -202,6 +208,12 @@ def test_shuffles_sample_when_the_space_is_large():
     assert report.checked == 10
     assert len(report.violations) == 10
     assert check_shuffles(bad, 1, 2, max_tuples=10, seed=3) == report  # same sample
+    # a sample is drawn without replacement: 63 of the 64 tuples, each once
+    report = check_shuffles(bad, 1, 2, max_tuples=63, seed=3)
+    assert report.checked == 63
+    tuples = [index for _, index in report.violations]
+    assert len(tuples) == len(set(tuples)) == 63
+    assert set(tuples) < set(ones)
 
 
 def test_shuffles_validate_split():
@@ -354,6 +366,110 @@ def test_verdicts_are_frozen():
         verdict.certificate.notes = ""
 
 
+# The envelope serializers of the six Record types as they were written out
+# by hand, one per type: the reference that Record.as_dict must reproduce.
+
+def _ref_certificate(c, names):
+    return {"order": c.order, "high_terms": [m.format(names) for m in c.high_terms]}
+
+
+def _ref_freeness(v, names):
+    out = {"status": v.status, "engine": v.engine}
+    if v.degree is not None:
+        out["degree"] = v.degree
+    if v.at_degree is not None:
+        out["at_degree"] = v.at_degree
+    if v.witness_coefficient is not None:
+        out["witness_coefficient"] = v.witness_coefficient
+    if v.certificate is not None:
+        out["certificate"] = _ref_certificate(v.certificate, names)
+    if v.detail:
+        out["detail"] = v.detail
+    return out
+
+
+def _ref_admissibility(r):
+    out = {"status": r.status, "degree": r.degree}
+    if r.at_degree is not None:
+        out["at_degree"] = r.at_degree
+        out["coefficient"] = r.coefficient
+    return out
+
+
+def _ref_decomposition(D):
+    out = {"c": D.c, "e": D.e}
+    if D.matrix is not None:
+        out["matrix"] = [list(row) for row in D.matrix]
+    return out
+
+
+def _ref_mild_certificate(c, names):
+    return {
+        "n": c.n,
+        "order": c.order,
+        "decomposition": _ref_decomposition(c.decomposition),
+        "initial_forms": [f.format(names) for f in c.initial_forms],
+        "high_terms": [m.format(names) for m in c.high_terms],
+        "anick": _ref_freeness(c.anick, names),
+        "notes": c.notes,
+    }
+
+
+def _ref_mild(v, names):
+    out = {"status": v.status}
+    if v.reason:
+        out["reason"] = v.reason
+    if v.certificate is not None:
+        out["certificate"] = _ref_mild_certificate(v.certificate, names)
+    return out
+
+
+def test_records_serialize_as_the_hand_written_envelopes():
+    ctx = Context(3, 2)
+    highs = (ctx.monomial((2, 1)), ctx.monomial((1, 1, 2)))
+    certs = [FreenessCertificate("deglex", highs), FreenessCertificate("deglex, X2 > X1", ())]
+    verdicts = [
+        FreenessVerdict(PROVEN, "anick", certificate=certs[0]),
+        FreenessVerdict(CONSISTENT, "anick", degree=0, detail="inconclusive"),
+        FreenessVerdict(REFUTED, "oracle", at_degree=0, witness_coefficient=0, certificate=certs[1]),
+        FreenessVerdict(CONSISTENT, "oracle", degree=7, detail=""),
+    ]
+    admissibility = [
+        AdmissibilityResult(ADMISSIBLE, 0),
+        AdmissibilityResult(INADMISSIBLE, 6, 0, -2),
+        AdmissibilityResult(INADMISSIBLE, 6, 4, 0),
+    ]
+    decompositions = [Decomposition(1, 0), Decomposition(0, 1, ((0, 1), (1, 0))), Decomposition(2, 2, ())]
+    forms = (ctx.poly([((1, 2), 1), ((2, 1), -1)]), ctx.poly([((1, 1), 2)]), ctx.poly([]))
+    mild_certs = [
+        MildCertificate(2, "U-order", D, forms[: len(D.matrix or ())], highs[:1], v, "notes")
+        for D, v in zip(decompositions, verdicts)
+    ]
+    mild = [MildVerdict(MILD, "found", mild_certs[0]), MildVerdict(CRITERION_FAILED, ""),
+            MildVerdict(NOT_APPLICABLE, "", mild_certs[1]), MildVerdict(MILD, "", mild_certs[2])]
+    for names in (None, ["a", "b"]):
+        for c in certs:
+            assert c.as_dict(names) == _ref_certificate(c, names)
+        for v in verdicts:
+            assert v.as_dict(names) == _ref_freeness(v, names)
+        for c in mild_certs:
+            assert c.as_dict(names) == _ref_mild_certificate(c, names)
+        for v in mild:
+            assert v.as_dict(names) == _ref_mild(v, names)
+    for r in admissibility:
+        assert r.as_dict() == _ref_admissibility(r)
+    for D in decompositions:
+        assert D.as_dict() == _ref_decomposition(D)
+    # key order is part of the envelope
+    assert list(verdicts[2].as_dict()) == ["status", "engine", "at_degree", "witness_coefficient", "certificate"]
+    assert list(mild_certs[0].as_dict()) == [
+        "n", "order", "decomposition", "initial_forms", "high_terms", "anick", "notes"]
+    # the departure: fields the hand-written serializers always wrote, such
+    # as an empty note or order, are left out like every other "" field
+    assert "notes" not in replace(mild_certs[0], notes="").as_dict()
+    assert FreenessCertificate("", ()).as_dict() == {"high_terms": []}
+
+
 def test_search_mild_free():
     assert search_mild(pres(3, 2, [])).status == NOT_APPLICABLE
 
@@ -432,6 +548,26 @@ def test_one_relator_weighted_route():
     weighted = next(m for m in report.memberships if m.tau == (2, 1))
     assert weighted.valuation == 4
     assert weighted.is_lie is False
+
+
+def test_one_relator_unknown_below_the_cutoff():
+    report = one_relator_verdict(pres(2, 2, ["[[x1, x2], x2]"]), cutoff=2)
+    assert report.status == "unknown"
+    assert report.z is None
+    assert report.routes == [] and report.memberships == []
+    assert report.notes == "relator trivial to degree 2; raise the cutoff"
+
+
+def test_one_relator_membership_at_the_presentation_weights():
+    # weights (2, 1) add a row after the unweighted one, then the extra tau
+    P = pres(2, 2, ["[x1, x2] x2^4"], tau=(2, 1))
+    report = one_relator_verdict(P, extra_taus=[(1, 2)])
+    assert [m.tau for m in report.memberships] == [(1, 1), (2, 1), (1, 2)]
+    flat, weighted, extra = report.memberships
+    assert (flat.valuation, flat.is_lie) == (2, True)
+    assert (weighted.valuation, weighted.is_lie) == (3, True)
+    assert (extra.valuation, extra.is_lie) == (3, True)
+    assert report.status == "mild"
 
 
 # -- Demuškin type ----------------------------------------------------------------
