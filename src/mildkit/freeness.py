@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import Context, IntSeries, Monomial, Record, check_weights
 from .errors import InternalInvariantError
-from .linalg import RowReducer, check_budget
+from .linalg import RowReducer, check_budget, push
 from .orders import high_term
 
 PROVEN = "proven-strongly-free"
@@ -228,7 +228,7 @@ class GradedQuotient:
         self._reps: list[list[int]] = [[0]]
         # _images[n][j]: the image table of X_{j+1} into degree n (None if n < tau_{j+1})
         self._images: list[list[list | None]] = [[None] * ctx.d]
-        # the last degree's (column-word tables, pivot rows) until _finish
+        # the last degree's (column-word tables, reducer) until _finish
         # turns them into _images[n]
         self._pending = None
 
@@ -257,21 +257,8 @@ class GradedQuotient:
         tables.append(landing)
         composed = tables[0]
         for table in tables[1:]:
-            composed = [table[img] if type(img) is int else self._push(img, table) for img in composed]
+            composed = [table[img] if type(img) is int else push(img, table, self.ctx.p) for img in composed]
         return composed
-
-    def _push(self, vec: dict[int, int], table: list, scale: int = 1) -> dict[int, int]:
-        """Map scale * vec through an image table."""
-        p = self.ctx.p
-        out: dict[int, int] = {}
-        for r, c in vec.items():
-            img = table[r]
-            if type(img) is int:
-                out[img] = out.get(img, 0) + c
-            else:
-                for s, v in img.items():
-                    out[s] = out.get(s, 0) + c * v
-        return {k: scale * v % p for k, v in out.items() if v % p}
 
     def _extend(self):
         self._finish()
@@ -310,7 +297,7 @@ class GradedQuotient:
         pivots = red.pivots
         self._reps.append(sorted([w for table in images if table is not None
                                   for w in table if w not in pivots]))
-        self._pending = (images, pivots)
+        self._pending = (images, red)
 
     def _finish(self):
         """Fill the image tables of the pending degree, if any: only the
@@ -318,30 +305,15 @@ class GradedQuotient:
         them."""
         if self._pending is None:
             return
-        images, pivots = self._pending
+        images, red = self._pending
         self._pending = None
         # degree n is withdrawn until its tables are built, so an interrupted
         # rewrite leaves it to be recomputed rather than half rewritten
         reps = self._reps.pop()
-        p = self.ctx.p
-        # column word -> its image in the degree-n basis, for now only the
-        # non-pivot columns; a pivot's tail only touches larger columns, so
-        # in decreasing order each tail column is already imaged: this is
-        # the back-substitution
-        col_image = dict(zip(reps, range(len(reps))))
-        for w in sorted(pivots, reverse=True):
-            prow = pivots.pop(w)  # frees each pivot row once converted
-            del prow[w]
-            if len(prow) == 1:
-                (k, v), = prow.items()
-                img = col_image[k]
-                if type(img) is int:
-                    # one representative: the index itself when -v = 1
-                    col_image[w] = img if v == p - 1 else {img: p - v}
-                    continue
-            img = self._push(prow, col_image, -1)
-            # a pivot that rewrites to one representative is stored as that index
-            col_image[w] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
+        # column word -> its image in the degree-n basis: the non-pivot
+        # columns are the representatives, the back-substitution adds the
+        # pivot columns
+        col_image = red.finalize(dict(zip(reps, range(len(reps)))))
         images = [None if table is None else [col_image[w] for w in table] for table in images]
         self._images.append(images)
         self._reps.append(reps)

@@ -4,7 +4,10 @@ Rows are dicts mapping integer column indices to nonzero residues; the
 pivot of a row is its smallest column.  One implementation serves the
 Hilbert-series oracle, the Lie-membership solves, and the Massey
 certificate construction; the last two track row operations in extra
-columns past the data columns.
+columns past the data columns.  Its one back-substitution,
+RowReducer.finalize, has two users: the oracle's GradedQuotient, which
+rewrites each degree's pivot columns in its quotient basis, and
+kernel_basis.
 """
 
 from __future__ import annotations
@@ -69,21 +72,42 @@ class RowReducer:
         self.pivots[lead] = row
         return lead
 
-    def finalize(self):
-        """Back-substitute so every pivot row is reduced against all others
-        (reduced echelon form).  Tails then touch non-pivot columns only.
-        In decreasing order each tail's pivot rows are final: one pass."""
+    def finalize(self, images: dict) -> dict:
+        """Back-substitution.  images holds the image of every non-pivot
+        column: an int index, standing for that unit vector, or an {index:
+        coefficient} dict.  Each pivot column gets minus its row's tail
+        pushed through the images; a tail only touches larger columns, so
+        in decreasing order it is already imaged: one pass.  Consumes the
+        pivot rows and returns images extended to every column."""
         p = self.p
-        for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
-            for col in [k for k in row if k != lead and k in self.pivots]:
-                c = row[col]
-                for k, v in self.pivots[col].items():
-                    nv = (row.get(k, 0) - c * v) % p
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
+        pivots = self.pivots
+        for w in sorted(pivots, reverse=True):
+            prow = pivots.pop(w)  # frees each pivot row once converted
+            del prow[w]
+            if len(prow) == 1:
+                (k, v), = prow.items()
+                img = images[k]
+                if type(img) is int:
+                    # one index: the index itself when -v = 1
+                    images[w] = img if v == p - 1 else {img: p - v}
+                    continue
+            img = push(prow, images, p, -1)
+            # a pivot that maps to one unit vector is stored as its index
+            images[w] = next(iter(img)) if len(img) == 1 and 1 in img.values() else img
+        return images
+
+
+def push(vec: dict[int, int], images, p: int, scale: int = 1) -> dict[int, int]:
+    """Map scale * vec through images (indexed like finalize's)."""
+    out: dict[int, int] = {}
+    for r, c in vec.items():
+        img = images[r]
+        if type(img) is int:
+            out[img] = out.get(img, 0) + c
+        else:
+            for s, v in img.items():
+                out[s] = out.get(s, 0) + c * v
+    return {k: scale * v % p for k, v in out.items() if v % p}
 
 
 def solve_combination(p: int, columns, target):
@@ -119,18 +143,14 @@ def kernel_basis(p: int, matrix, ncols: int):
         if len(row) != ncols:
             raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
         red.add({j: v for j, v in enumerate(row) if v % p})
-    red.finalize()
-    basis = []
-    for free in range(ncols):
-        if free in red.pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for lead, prow in red.pivots.items():
-            c = prow.get(free, 0)
-            if c:
-                vec[lead] = (-c) % p
-        basis.append(vec)
+    free = [j for j in range(ncols) if j not in red.pivots]
+    # the kernel vector of free column f holds, at each column, the
+    # coefficient of f in that column's image: 1 at f, 0 at the other free
+    # columns
+    basis = [[0] * ncols for _ in free]
+    for j, img in red.finalize({f: i for i, f in enumerate(free)}).items():
+        for i, c in img.items() if type(img) is dict else [(img, 1)]:
+            basis[i][j] = c
     return basis
 
 

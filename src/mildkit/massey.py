@@ -39,6 +39,10 @@ def zassenhaus_invariant(P: Presentation, cutoff: int):
     exps = P.expansions(cutoff)
     if not exps:
         return INFINITY
+    return _least_valuation(exps)
+
+
+def _least_valuation(exps):
     return min((e.valuation for e in exps if e.valuation is not None), default=None)
 
 
@@ -106,7 +110,28 @@ def _transform_values(values, matrix, p, d, n):
     return cur
 
 
-def _slice(P: Presentation, exps, n: int) -> MasseyTensor:
+def massey_tensor(P: Presentation, n=None, cutoff=None) -> MasseyTensor:
+    """All length-n expansion coefficients of the relators, n = z(G) by
+    default.  Defined only for n <= the Zassenhaus invariant (the products
+    are not uniquely defined beyond it).  The expansions are fetched once,
+    and z is their least valuation."""
+    if n is not None and n < 2:
+        raise ValueError(f"tensors start at n = 2, got {n}")
+    cutoff = max(cutoff or 0, n or 0)
+    exps = P.expansions(cutoff)
+    z = _least_valuation(exps)
+    if n is None:
+        if z is None:
+            raise PrecisionError(
+                f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
+                "(a trivial relator can never yield a finite invariant)"
+            )
+        n = z
+    elif z is not None and n > z:
+        raise ValueError(
+            f"n = {n} exceeds the Zassenhaus invariant {z}; "
+            "the Massey product is not uniquely defined there"
+        )
     # in decreasing index order, so that a witness read off the tensor does
     # not depend on the order in which an expansion produced its terms
     values = []
@@ -114,36 +139,6 @@ def _slice(P: Presentation, exps, n: int) -> MasseyTensor:
         terms = ((m.letters, c) for m, c in e.component(n).terms.items())
         values.append(dict(sorted(terms, reverse=True)))
     return MasseyTensor(P.p, P.d, n, P.relator_names(), tuple(values))
-
-
-def _z_tensor(P: Presentation, cutoff: int) -> MasseyTensor:
-    """The tensor at n = z(G) off the relators' expansions at the cutoff.
-    The verdicts read it, so it fetches the expansions once and takes z,
-    their least valuation, off them rather than from zassenhaus_invariant."""
-    exps = P.expansions(cutoff)
-    z = min((e.valuation for e in exps if e.valuation is not None), default=None)
-    if z is None:
-        raise PrecisionError(
-            f"every relator expands to 1 up to degree {cutoff}; raise the cutoff "
-            "(a trivial relator can never yield a finite invariant)"
-        )
-    return _slice(P, exps, z)
-
-
-def massey_tensor(P: Presentation, n: int, cutoff=None) -> MasseyTensor:
-    """All length-n expansion coefficients of the relators.  Defined only
-    for n <= the Zassenhaus invariant (the products are not uniquely
-    defined beyond it)."""
-    if n < 2:
-        raise ValueError(f"tensors start at n = 2, got {n}")
-    cutoff = max(cutoff or 0, n)
-    z = zassenhaus_invariant(P, cutoff)
-    if z is not None and n > z:
-        raise ValueError(
-            f"n = {n} exceeds the Zassenhaus invariant {z}; "
-            "the Massey product is not uniquely defined there"
-        )
-    return _slice(P, P.expansions(cutoff), n)
 
 
 def massey_value(T: MasseyTensor, xs) -> list[int]:
@@ -297,7 +292,7 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
     """
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    return _decide(_z_tensor(P, cutoff), D)
+    return _decide(massey_tensor(P, cutoff=cutoff), D)
 
 
 def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
@@ -402,7 +397,7 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     closed-form count before any case is built."""
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    T = _z_tensor(P, cutoff)
+    T = massey_tensor(P, cutoff=cutoff)
     n, d = T.n, P.d
     if n < 2 or d < 2:
         return MildVerdict(
@@ -520,7 +515,7 @@ def one_relator_verdict(
     bp_matrix = None
     bp_kernel = None
     if z == P.p and P.d >= 2:
-        bp_matrix = bn_map(_slice(P, exps, z))
+        bp_matrix = bn_map(massey_tensor(P, z, cutoff))
         bp_kernel = kernel_basis(P.p, bp_matrix, P.d)
 
     demuskin_report = None
@@ -588,7 +583,7 @@ def demuskin_type(P: Presentation, cutoff: int = 8, budget: int = 200000) -> Dem
     (chi, ..., psi, ..., chi).  Enumerates all p^d - 1 classes; refuses
     honestly when that exceeds the budget."""
     _one_relator(P, "Demuškin-type analysis")
-    return _demuskin_type(_z_tensor(P, cutoff), budget)
+    return _demuskin_type(massey_tensor(P, cutoff=cutoff), budget)
 
 
 def _demuskin_type(T: MasseyTensor, budget: int) -> DemuskinTypeReport:
@@ -613,7 +608,7 @@ def demuskin(
     coordinate, and checks the criterion with V = span(chi), e = 1.
     One-generator groups of Demuškin type are finite cyclic."""
     _one_relator(P, "Demuškin-type analysis")
-    T = _z_tensor(P, cutoff)
+    T = massey_tensor(P, cutoff=cutoff)
     report = _demuskin_type(T, budget)
     n, d = T.n, T.d
     if not report.is_type:

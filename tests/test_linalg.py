@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reduce_fully
+from mildkit import linalg
 from mildkit.errors import BudgetError
 from mildkit.linalg import (
     RowReducer,
@@ -21,21 +22,60 @@ def test_rank_simple():
     assert dense_rank(5, []) == 0
 
 
+def _reference_kernel(p, rows, ncols):
+    """The right kernel read off the rows in reduced echelon form, each
+    pivot's tail reduced against every other pivot the way
+    test_freeness's _reference_degree does it: one vector per free column,
+    1 there, 0 in the other free columns."""
+    red = RowReducer(p)
+    for row in rows:
+        red.add(dict(row))
+    tails = {lead: reduce_fully(red, {k: v for k, v in prow.items() if k != lead})
+             for lead, prow in red.pivots.items()}
+    basis = []
+    for free in range(ncols):
+        if free in tails:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for lead, tail in tails.items():
+            vec[lead] = (-tail.get(free, 0)) % p
+        basis.append(vec)
+    return basis
+
+
+def _assert_kernel_matches_reference(p, rows, ncols):
+    matrix = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    kern = kernel_basis(p, matrix, ncols)
+    assert kern == _reference_kernel(p, rows, ncols)
+    for vec in kern:
+        for row in matrix:
+            assert sum(a * b for a, b in zip(row, vec)) % p == 0
+
+
 def test_finalize_clears_pivot_columns_from_tails():
     # regression: a tail whose minimum is a non-pivot column can still
-    # contain later pivot columns; finalize must eliminate those too
-    red = RowReducer(2)
-    red.add({0: 1, 3: 1, 5: 1})
-    red.add({5: 1, 6: 1})
-    red.finalize()
-    pivot_cols = set(red.pivots)
-    for lead, row in red.pivots.items():
-        for col in row:
-            assert col == lead or col not in pivot_cols
+    # contain later pivot columns; the back-substitution must eliminate
+    # those too, or the kernel vector of column 3 misses column 5's pivot
+    _assert_kernel_matches_reference(2, [{0: 1, 3: 1, 5: 1}, {5: 1, 6: 1}], 7)
 
 
 def test_finalize_random_rref():
     rng = random.Random(51)
+    for p in (2, 3, 5):
+        for _ in range(20):
+            rows = [
+                {c: rng.randrange(1, p) for c in rng.sample(range(10), rng.randint(1, 5))}
+                for _ in range(6)
+            ]
+            _assert_kernel_matches_reference(p, rows, 10)
+
+
+def test_finalize_maps_every_row_to_zero():
+    # non-pivot columns sent to indices and to dicts with non-unit
+    # coefficients: the extended map must kill every row, keep the given
+    # images and consume the pivot rows
+    rng = random.Random(53)
     for p in (2, 3, 5):
         for _ in range(20):
             red = RowReducer(p)
@@ -44,15 +84,18 @@ def test_finalize_random_rref():
                 for _ in range(6)
             ]
             for row in rows:
-                red.add(dict(row))
-            red.finalize()
-            pivot_cols = set(red.pivots)
-            for lead, row in red.pivots.items():
-                assert row[lead] == 1
-                assert all(c == lead or c not in pivot_cols for c in row)
-            # the reduced basis must still span the same rows
+                red.add(row)
+            given = {}
+            for j in range(10):
+                if j not in red.pivots:
+                    given[j] = rng.randrange(4) if rng.random() < 0.5 else {
+                        i: rng.randrange(1, p) for i in rng.sample(range(4), rng.randint(0, 3))}
+            images = red.finalize(dict(given))
+            assert red.pivots == {}
+            assert set(images) == set(range(10))
+            assert all(images[j] == img for j, img in given.items())
             for row in rows:
-                assert reduce_fully(red, dict(row)) == {}
+                assert linalg.push(row, images, p) == {}
 
 
 @pytest.mark.parametrize("p", [3, 5])

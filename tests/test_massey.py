@@ -119,6 +119,22 @@ def test_tensor_refuses_beyond_invariant():
         massey_tensor(P, 3)
 
 
+def test_tensor_defaults_to_z_off_one_expansion_read(monkeypatch):
+    reads = []
+    original = Presentation.expansions
+
+    def expansions(self, cutoff):
+        reads.append(cutoff)
+        return original(self, cutoff)
+
+    monkeypatch.setattr(Presentation, "expansions", expansions)
+    T = massey_tensor(DEMUSKIN_P3, cutoff=8)
+    assert reads == [8]
+    assert T == massey_tensor(DEMUSKIN_P3, zassenhaus_invariant(DEMUSKIN_P3, 8), 8)
+    with pytest.raises(PrecisionError, match="every relator expands to 1 up to degree 8"):
+        massey_tensor(pres(2, 2, ["x1 x1^-1"]), cutoff=8)
+
+
 def test_cup_product_sign():
     # at n = 2 the pairing equals the cup product, which carries sign -1
     P = pres(5, 2, ["[x1, x2]"])
