@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_poly, reduce_fully
-from mildkit import Context, IntSeries, initial_form
+from mildkit import Context, IntSeries, initial_form, linalg
 from mildkit.cli import load_presentation
 from mildkit.errors import BudgetError, InternalInvariantError
 from mildkit.freeness import (
@@ -24,7 +24,6 @@ from mildkit.freeness import (
     strongly_free_oracle,
     target_series,
 )
-from mildkit import linalg
 from mildkit.linalg import RowReducer
 from mildkit.orders import DegLexOrder, UOrder
 from reference_slice import enumerate_basis, ideal_slice, slice_rank

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reduce_fully
-from mildkit import linalg
 from mildkit.errors import BudgetError
 from mildkit.linalg import (
     RowReducer,
@@ -12,6 +11,7 @@ from mildkit.linalg import (
     dense_rank,
     is_invertible,
     kernel_basis,
+    push,
     solve_combination,
 )
 
@@ -85,17 +85,17 @@ def test_finalize_maps_every_row_to_zero():
             ]
             for row in rows:
                 red.add(row)
-            given = {}
+            free_images = {}
             for j in range(10):
                 if j not in red.pivots:
-                    given[j] = rng.randrange(4) if rng.random() < 0.5 else {
+                    free_images[j] = rng.randrange(4) if rng.random() < 0.5 else {
                         i: rng.randrange(1, p) for i in rng.sample(range(4), rng.randint(0, 3))}
-            images = red.finalize(dict(given))
+            images = red.finalize(dict(free_images))
             assert red.pivots == {}
             assert set(images) == set(range(10))
-            assert all(images[j] == img for j, img in given.items())
+            assert all(images[j] == img for j, img in free_images.items())
             for row in rows:
-                assert linalg.push(row, images, p) == {}
+                assert push(row, images, p) == {}
 
 
 @pytest.mark.parametrize("p", [3, 5])
