@@ -48,11 +48,9 @@ from .magnus import (
     GroupWord,
     MagnusExpansion,
     Presentation,
-    epsilon,
     expand,
     initial_form,
     make_presentation,
-    omega,
     parse_word,
     substitute,
     word_to_text,

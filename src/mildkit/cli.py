@@ -1,5 +1,5 @@
-"""Command-line front end: presentation files, the command table, and the
-text/JSON output envelope.
+"""Command-line front end: the command table and the text/JSON output
+envelope.
 
 Each command is one row of COMMANDS: its name, its function, its help line
 and its arguments.  An argument named by a string is one of the flags in
@@ -8,16 +8,8 @@ once; a (flag, keywords) pair is the command's own.  `main` starts the
 clock, builds one Invocation, calls the command and prints the envelope; a
 command only returns the envelope's fields.  An Invocation works out what
 the commands read: the presentation, its weights, the cutoff and the
-initial forms.  Commands call only the public API of magnus and massey.
-
-Presentation file format::
-
-    # comment
-    p: 3
-    generators: x1, x2, x3
-    weights: 1, 1, 1          # optional, defaults to all 1
-    relators:
-      r1: x1^3 x2^3 [[x1, x3], x3]
+initial forms.  Commands call only the public API of magnus (which also
+reads the presentation files) and massey.
 
 Exit codes: 0 = computed (whatever the verdict), 1 = negative verdict
 under --strict, 2 = input error, 3 = budget or precision error; a reader
@@ -37,7 +29,9 @@ import time
 from . import freeness, massey
 from .algebra import series_compare, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
-from .magnus import Presentation, expand, initial_form, parse_word, word_to_text
+from .magnus import expand, initial_form, int_list, load_presentation, split_list, word_to_text
+# re-exported: the benchmark's tracer wraps mildkit.cli.parse_presentation_text
+from .magnus import parse_presentation_text  # noqa: F401
 from .lie import hall_basis_by_tau_degree, restricted_basis
 from .orders import parse_order_spec
 
@@ -50,97 +44,6 @@ NEGATIVE_VERDICTS = {
     "mismatch",
     "not-demuskin-type",
 }
-
-
-# ---------------------------------------------------------------------------
-# presentation files
-# ---------------------------------------------------------------------------
-
-def split_list(value: str) -> list[str]:
-    return [t for t in value.replace(",", " ").split() if t]
-
-
-def int_list(value: str, what: str, line=None) -> tuple[int, ...]:
-    """The integers of a comma- or space-separated list; a ParseError
-    naming what the list is and its value when an entry is not one."""
-    try:
-        return tuple(int(t) for t in split_list(value))
-    except ValueError:
-        raise ParseError(f"{what} must be integers, got {value!r}", line=line) from None
-
-
-def parse_presentation_text(text: str) -> Presentation:
-    p = None
-    names = None
-    weights = None
-    relators = []
-    relator_names = set()
-    in_relators = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if not in_relators:
-            if stripped == "relators:":
-                in_relators = True
-                continue
-            key, sep, value = stripped.partition(":")
-            if not sep:
-                raise ParseError(f"expected 'key: value', got {stripped!r}", line=lineno)
-            key = key.strip()
-            value = value.strip()
-            if key == "p":
-                try:
-                    p = int(value)
-                except ValueError:
-                    raise ParseError(f"p must be an integer, got {value!r}", line=lineno)
-            elif key == "generators":
-                names = split_list(value)
-                if not names:
-                    raise ParseError("empty generator list", line=lineno)
-            elif key == "weights":
-                weights = int_list(value, "weights", line=lineno)
-            else:
-                raise ParseError(
-                    f"unknown header key {key!r} (expected p, generators, weights, relators)",
-                    line=lineno,
-                )
-        else:
-            name, sep, wordtext = stripped.partition(":")
-            if not sep:
-                raise ParseError(f"expected 'name: word', got {stripped!r}", line=lineno)
-            name = name.strip()
-            if name in relator_names:
-                raise ParseError(f"duplicate relator name {name!r}", line=lineno)
-            if names is None:
-                raise ParseError("relators block before the generators header", line=lineno)
-            relator_names.add(name)
-            offset = raw.index(":", raw.find(name)) + 1
-            w = parse_word(wordtext.strip(), names, line=lineno,
-                           column_offset=offset + len(wordtext) - len(wordtext.lstrip()))
-            relators.append((name, w))
-
-    if p is None:
-        raise ParseError("missing header key 'p'")
-    if names is None:
-        raise ParseError("missing header key 'generators'")
-    if weights is None:
-        weights = (1,) * len(names)
-    try:
-        return Presentation(p, tuple(names), weights, tuple(relators))
-    except ValueError as exc:
-        raise ParseError(str(exc))
-
-
-def load_presentation(path: str) -> Presentation:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}")
-    return parse_presentation_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_budget() -> int:
-    text = os.environ.get("MILDKIT_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"MILDKIT_BUDGET must be an integer, got {text!r}") from None
+def _budget(args) -> int:
+    """--budget, else MILDKIT_BUDGET, else the default; 0 refuses any
+    nonempty matrix, and a negative budget is an input error."""
+    source, budget = "--budget", args.budget
+    if budget is None:
+        source, text = "MILDKIT_BUDGET", os.environ.get("MILDKIT_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            raise ValueError(f"MILDKIT_BUDGET must be an integer, got {text!r}") from None
+    if budget < 0:
+        raise ValueError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        budget = args.budget
-        if budget is None:
-            budget = _env_budget()
-        fields = args.fn(Invocation(args, budget))
+        fields = args.fn(Invocation(args, _budget(args)))
     except (BudgetError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,5 @@
-"""Group words and their truncated Magnus expansions.
+"""Group words, their truncated Magnus expansions, and presentations with
+their file format.
 
 A word in the free group maps into the power-series algebra by sending
 each generator x_i to 1 + X_i; everything downstream (valuations, initial
@@ -137,8 +138,8 @@ def word_to_text(w: GroupWord, names=None) -> str:
 class MagnusExpansion:
     """Truncated Magnus expansion: all terms of weighted degree <= cutoff,
     kept as the kernel's degree buckets, which expand's memo shares and
-    nothing mutates.  poly and reduced decode every term into a new Poly;
-    valuation and component(n) read one degree only."""
+    nothing mutates.  poly decodes every term into a new Poly; valuation
+    and component(n) read one degree only."""
 
     ctx: Context
     cutoff: int
@@ -147,11 +148,6 @@ class MagnusExpansion:
     @property
     def poly(self) -> Poly:
         return self._decode(lambda key: True)
-
-    @property
-    def reduced(self) -> Poly:
-        """The expansion minus its constant term 1."""
-        return self._decode(lambda key: key[0] > 0)
 
     @property
     def valuation(self):
@@ -274,19 +270,6 @@ def _expansion(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
     (word, context, cutoff) keys.  A lower cutoff is computed anew, not read
     off a higher one."""
     return MagnusExpansion(ctx, cutoff, _expand_word(w, ctx, cutoff))
-
-
-def epsilon(w: GroupWord, index_tuple, ctx: Context) -> int:
-    """Coefficient of X_{i_1} ... X_{i_k} in the Magnus expansion."""
-    mono = ctx.monomial(index_tuple)
-    cutoff = max(mono.tau_degree, 1)
-    return expand(w, ctx, cutoff).poly.coefficient(mono)
-
-
-def omega(w: GroupWord, ctx: Context, cutoff: int):
-    """Weighted valuation of the expansion minus one; None when the
-    truncation is trivial (the word sits deeper than the cutoff, or is 1)."""
-    return expand(w, ctx, cutoff).valuation
 
 
 def initial_form(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
@@ -471,3 +454,105 @@ def make_presentation(p, names, relator_texts, tau=None) -> Presentation:
         tau = (1,) * len(names)
     relators = tuple((name, parse_word(text, names)) for name, text in relator_texts)
     return Presentation(p, names, check_weights(tau), relators)
+
+
+# ---------------------------------------------------------------------------
+# presentation files: to_text writes them, parse_presentation_text reads them
+# ---------------------------------------------------------------------------
+
+def split_list(value: str) -> list[str]:
+    return [t for t in value.replace(",", " ").split() if t]
+
+
+def int_list(value: str, what: str, line=None) -> tuple[int, ...]:
+    """The integers of a comma- or space-separated list; a ParseError
+    naming what the list is and its value when an entry is not one."""
+    try:
+        return tuple(int(t) for t in split_list(value))
+    except ValueError:
+        raise ParseError(f"{what} must be integers, got {value!r}", line=line) from None
+
+
+def parse_presentation_text(text: str) -> Presentation:
+    """The presentation in a file's text; a ParseError with the line (and
+    column, inside a word) of the first fault.  The format::
+
+        # comment
+        p: 3
+        generators: x1, x2, x3
+        weights: 1, 1, 1          # optional, defaults to all 1
+        relators:
+          r1: x1^3 x2^3 [[x1, x3], x3]
+    """
+    p = None
+    names = None
+    weights = None
+    relators = []
+    relator_names = set()
+    in_relators = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        if not in_relators:
+            if stripped == "relators:":
+                in_relators = True
+                continue
+            key, sep, value = stripped.partition(":")
+            if not sep:
+                raise ParseError(f"expected 'key: value', got {stripped!r}", line=lineno)
+            key = key.strip()
+            value = value.strip()
+            if key == "p":
+                try:
+                    p = int(value)
+                except ValueError:
+                    raise ParseError(f"p must be an integer, got {value!r}", line=lineno)
+            elif key == "generators":
+                names = split_list(value)
+                if not names:
+                    raise ParseError("empty generator list", line=lineno)
+            elif key == "weights":
+                weights = int_list(value, "weights", line=lineno)
+            else:
+                raise ParseError(
+                    f"unknown header key {key!r} (expected p, generators, weights, relators)",
+                    line=lineno,
+                )
+        else:
+            name, sep, wordtext = stripped.partition(":")
+            if not sep:
+                raise ParseError(f"expected 'name: word', got {stripped!r}", line=lineno)
+            name = name.strip()
+            if name in relator_names:
+                raise ParseError(f"duplicate relator name {name!r}", line=lineno)
+            if names is None:
+                raise ParseError("relators block before the generators header", line=lineno)
+            relator_names.add(name)
+            offset = raw.index(":", raw.find(name)) + 1
+            w = parse_word(wordtext.strip(), names, line=lineno,
+                           column_offset=offset + len(wordtext) - len(wordtext.lstrip()))
+            relators.append((name, w))
+
+    if p is None:
+        raise ParseError("missing header key 'p'")
+    if names is None:
+        raise ParseError("missing header key 'generators'")
+    if weights is None:
+        weights = (1,) * len(names)
+    try:
+        return Presentation(p, tuple(names), weights, tuple(relators))
+    except ValueError as exc:
+        raise ParseError(str(exc))
+
+
+def load_presentation(path: str) -> Presentation:
+    """The presentation in the file at path (see parse_presentation_text)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    return parse_presentation_text(text)

@@ -451,8 +451,6 @@ class OneRelatorReport:
     split_error: str | None
     bp_matrix: list | None
     bp_kernel: list | None
-    demuskin_type: object | None = None
-    demuskin_verdict: MildVerdict | None = None
     notes: str = ""
 
 
@@ -461,18 +459,13 @@ def _one_relator(P: Presentation, what: str):
         raise ValueError(f"{what} needs exactly one relator, got {P.m}")
 
 
-def one_relator_verdict(
-    P: Presentation,
-    cutoff: int = 8,
-    extra_taus=(),
-    with_demuskin: bool = False,
-    budget: int = 200000,
-) -> OneRelatorReport:
+def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneRelatorReport:
     """Diagnostics for a one-relator presentation: the invariant z, the
     coprimality route, Lie-polynomial initial forms at the requested weight
     vectors, the p-power/commutator split, and (for z = p) the diagonal map
     and its kernel.  Mildness claims are one-directional; absence of a
-    route is reported as inconclusive, never as a refutation."""
+    route is reported as inconclusive, never as a refutation.  The
+    Demuškin-type route is demuskin(P, cutoff)."""
     _one_relator(P, "one-relator analysis")
     name, w = P.relators[0]
     exps = P.expansions(cutoff)
@@ -518,13 +511,6 @@ def one_relator_verdict(
         bp_matrix = bn_map(massey_tensor(P, z, cutoff))
         bp_kernel = kernel_basis(P.p, bp_matrix, P.d)
 
-    demuskin_report = None
-    demuskin_verdict = None
-    if with_demuskin:
-        demuskin_report, demuskin_verdict = demuskin(P, cutoff, budget)
-        if demuskin_verdict.is_mild:
-            routes.append("Demuškin-type construction")
-
     if P.d == 1:
         status = "finite"
         notes.append(f"single generator: the group is cyclic of order {P.p}^k with p^k = {z}")
@@ -532,12 +518,12 @@ def one_relator_verdict(
         status = "mild"
     else:
         status = "inconclusive"
-        notes.append("no one-relator route applies; try other weight vectors or the decomposition search")
+        notes.append("no one-relator route applies; try other weight vectors, "
+                     "the decomposition search or demuskin")
 
     return OneRelatorReport(
         P.p, P.d, name, z, status, routes, coprime, memberships,
-        split, split_error, bp_matrix, bp_kernel,
-        demuskin_report, demuskin_verdict, "; ".join(notes),
+        split, split_error, bp_matrix, bp_kernel, "; ".join(notes),
     )
 
 

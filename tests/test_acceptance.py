@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from mildkit import Context, IntSeries
-from mildkit.cli import load_presentation
 from mildkit.freeness import (
     CONSISTENT,
     PROVEN,
@@ -21,7 +20,7 @@ from mildkit.freeness import (
     strongly_free_oracle,
 )
 from mildkit.lie import hall_basis, hall_to_group_word, restricted_basis, witt_number
-from mildkit.magnus import Presentation, initial_form
+from mildkit.magnus import Presentation, initial_form, load_presentation
 from mildkit.massey import (
     Decomposition,
     bn_map,

@@ -10,7 +10,9 @@ import jsonschema
 import pytest
 
 from conftest import count_expansions, load_workloads
-from mildkit.cli import load_presentation, main, parse_presentation_text
+from mildkit import cli, magnus
+from mildkit.cli import main
+from mildkit.magnus import load_presentation, parse_presentation_text
 from mildkit.errors import ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -333,6 +335,38 @@ def test_env_budget_override(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", str(PRES / "two_four.pres"), "--degree", "1", "--budget", "-5"],
+        ["demuskin", str(PRES / "demuskin_p3.pres"), "--budget", "-5"],
+        ["hall", "--d", "2", "--n", "3", "--budget", "-5"],
+    ],
+    ids=["hilbert", "demuskin", "hall"],
+)
+def test_negative_budget_flag_is_an_input_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("MILDKIT_BUDGET", "100")  # the flag wins
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --budget must be >= 0, got -5\n")
+
+
+def test_negative_env_budget_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("MILDKIT_BUDGET", "-5")
+    assert main(["demuskin", str(PRES / "demuskin_p3.pres")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: MILDKIT_BUDGET must be >= 0, got -5\n")
+
+
+def test_zero_budget_refuses_any_nonempty_matrix(capsys, monkeypatch):
+    two_four = str(PRES / "two_four.pres")
+    assert main(["hilbert", two_four, "--degree", "1", "--budget", "0"]) == 0
+    assert main(["hilbert", two_four, "--degree", "2", "--budget", "0"]) == 3
+    monkeypatch.setenv("MILDKIT_BUDGET", "0")
+    assert main(["demuskin", str(PRES / "demuskin_p3.pres")]) == 3
+    assert "exceeds the budget 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, flag, value",
     [
         (["hall", "--d", "2", "--n", "3", "--weights", "1,x"], "--weights", "1,x"),
@@ -447,3 +481,47 @@ def test_private_reads_finds_both_forms():
 
 def test_cli_reads_only_public_names():
     assert private_reads((ROOT / "src" / "mildkit" / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def imports_cli(source: str) -> bool:
+    """Whether a module of the mildkit package imports mildkit.cli, in any
+    form: `from . import cli`, `from .cli import ...`, `import mildkit.cli`,
+    `from mildkit import cli` or `from mildkit.cli import ...`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["mildkit" if node.level else "", node.module]))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name == "mildkit.cli" or name.startswith("mildkit.cli.") for name in names):
+            return True
+    return False
+
+
+def test_imports_cli_finds_every_form():
+    found = [
+        "from . import cli", "from . import massey, cli as c", "from .cli import main",
+        "import mildkit.cli", "import mildkit.cli as c", "from mildkit import cli",
+        "from mildkit.cli import load_presentation", "def f():\n    from .cli import main\n",
+    ]
+    missed = [
+        "from . import massey", "from .client import x", "import mildkit", "import climate",
+        "from .magnus import load_presentation", "from mildkit.massey import cli",
+    ]
+    assert [s for s in found if not imports_cli(s)] == []
+    assert [s for s in missed if imports_cli(s)] == []
+
+
+def test_only_the_cli_imports_the_cli():
+    # so that a checker can read presentation files without the CLI
+    modules = sorted((ROOT / "src" / "mildkit").glob("*.py"))
+    assert "magnus.py" in [path.name for path in modules]
+    assert [path.name for path in modules
+            if path.name != "cli.py" and imports_cli(path.read_text(encoding="utf-8"))] == []
+
+
+def test_cli_reexports_the_presentation_reader():
+    assert cli.parse_presentation_text is magnus.parse_presentation_text
+    assert cli.load_presentation is magnus.load_presentation

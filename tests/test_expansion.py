@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import ROOT, load_workloads
 from mildkit import Context
 from mildkit.algebra import INFINITY, mul_truncated
-from mildkit.cli import load_presentation, parse_presentation_text
-from mildkit.magnus import Commutator, Gen, GroupWord, Sub, expand
+from mildkit.magnus import Commutator, Gen, GroupWord, Sub, expand, load_presentation, parse_presentation_text
 from reference_magnus import reference_expand
 
 # the six corpus files and the benchmark's sweep presentations of seed 1
@@ -110,4 +109,3 @@ def test_component_and_valuation_read_the_full_expansion(case):
     for n in range(c + 1):
         assert e.component(n) == poly.homogeneous_component(n)
     assert e.valuation == _valuation(poly)
-    assert e.reduced == poly - ctx.one()

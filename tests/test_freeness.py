@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_poly, reduce_fully
 from mildkit import Context, IntSeries, initial_form, linalg
-from mildkit.cli import load_presentation
 from mildkit.errors import BudgetError, InternalInvariantError
 from mildkit.freeness import (
     CONSISTENT,
@@ -25,6 +24,7 @@ from mildkit.freeness import (
     target_series,
 )
 from mildkit.linalg import RowReducer
+from mildkit.magnus import load_presentation
 from mildkit.orders import DegLexOrder, UOrder
 from reference_slice import enumerate_basis, ideal_slice, slice_rank
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from conftest import load_workloads
-from mildkit.cli import load_presentation, main
+from mildkit.cli import main
+from mildkit.magnus import load_presentation
 
 ROOT = Path(__file__).resolve().parent.parent
 

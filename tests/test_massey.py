@@ -692,8 +692,8 @@ def test_verdict_expands_each_relator_once(expand_calls, P, run):
 
 def test_one_relator_expands_once_per_weight_vector(expand_calls):
     taus = [(2, 1, 1), (1, 1, 1), (2, 1, 1)]
-    report = one_relator_verdict(DEMUSKIN_P3, extra_taus=taus, with_demuskin=True)
-    assert report.demuskin_verdict.status == MILD
+    one_relator_verdict(DEMUSKIN_P3, extra_taus=taus)
+    assert demuskin(DEMUSKIN_P3, 8)[1].status == MILD
     assert [(ctx.tau, cutoff) for _, ctx, cutoff in expand_calls] == [
         ((1, 1, 1), 8),
         ((2, 1, 1), 16),
@@ -782,7 +782,7 @@ def test_verdicts_leave_the_shared_expansions_unchanged(P):
     search_mild(P)
     if P.m == 1:
         demuskin_mildness(P)
-        one_relator_verdict(P, with_demuskin=True)
+        one_relator_verdict(P)
     for w, e in zip(P.relator_words(), shared):
         if e.valuation is not None:
             initial_form(w, ctx, 8)
@@ -849,4 +849,35 @@ def test_verdicts_invariant_under_letter_permutations_property(P, data):
     assume(zassenhaus_invariant(P, 8) is not None)
     perm = data.draw(st.permutations(range(1, P.d + 1)))
     images = [GroupWord((Gen(i),)) for i in perm]
+    assert _statuses(_rewritten(P, lambda w: substitute(w, images))) == _statuses(P)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations())
+def test_verdicts_invariant_under_relator_inversion(P):
+    assume(zassenhaus_invariant(P, 8) is not None)
+    assert _statuses(_rewritten(P, GroupWord.inverse)) == _statuses(P)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.data())
+def test_verdicts_invariant_under_conjugation_by_a_generator_power(P, data):
+    # g^-k w g^k: the expansion changes past degree z(G), the initial forms do not
+    assume(zassenhaus_invariant(P, 8) is not None)
+    g = data.draw(st.integers(1, P.d))
+    k = data.draw(st.sampled_from([1, -1, 2, -2]))
+    power = GroupWord((Gen(g, k),))
+    assert _statuses(_rewritten(P, lambda w: power.inverse() * w * power)) == _statuses(P)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.data())
+def test_verdicts_invariant_under_inverting_a_generator(P, data):
+    # x_i -> x_i^-1 acts on the graded pieces as X_i -> -X_i, a diagonal basis change
+    assume(zassenhaus_invariant(P, 8) is not None)
+    i = data.draw(st.integers(1, P.d))
+    images = [GroupWord((Gen(j, -1 if j == i else 1),)) for j in range(1, P.d + 1)]
     assert _statuses(_rewritten(P, lambda w: substitute(w, images))) == _statuses(P)
