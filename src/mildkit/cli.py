@@ -26,7 +26,7 @@ import os
 import sys
 import time
 
-from . import freeness, massey
+from . import freeness, magnus, massey
 from .algebra import series_compare, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
 from .magnus import expand, initial_form, int_list, load_presentation, split_list, word_to_text
@@ -69,13 +69,11 @@ class Invocation:
         self.ctx = P.context(self.tau)
 
     def cutoff(self) -> int:
-        """--cutoff, or else max(8, 2z) with z(G) read at cutoff 8."""
+        """--cutoff, or else max(8, 2z) with z(G) read up to cutoff 8."""
         if getattr(self.args, "cutoff", None) is not None:
             return self.args.cutoff
         z = massey.zassenhaus_invariant(self.P, 8)
-        if z is None or z is massey.INFINITY:
-            return 8
-        return max(8, 2 * z)
+        return 8 if z is None or z is massey.INFINITY else max(8, 2 * z)
 
     def weighted_cutoff(self) -> int:
         """The cutoff of the weighted initial forms: cutoff * max(tau)."""
@@ -179,14 +177,15 @@ def cmd_expand(run):
 
 
 def cmd_zassenhaus(run):
-    cutoff = run.cutoff()
-    z = massey.zassenhaus_invariant(run.P, cutoff)
+    P, cutoff = run.P, run.cutoff()
+    z = massey.zassenhaus_invariant(P, cutoff)
+    ctx = P.context((1,) * P.d)  # z(G) is unweighted, whatever the file's weights
     result = {
         "zassenhaus_invariant": "unknown(>%d)" % cutoff if z is None else
         ("infinity (free presentation)" if z is massey.INFINITY else z),
         "relator_valuations": {
             name: f"unknown(>{cutoff})" if e.valuation is None else e.valuation
-            for (name, _), e in zip(run.P.relators, run.P.expansions(cutoff))
+            for name, w in P.relators for e in magnus.leading_expansions([w], ctx, cutoff)
         },
     }
     if z is None:
@@ -199,7 +198,7 @@ def cmd_initial_forms(run):
     cutoff = run.weighted_cutoff()
     result = {}
     for name, w in run.P.relators:
-        e = expand(w, run.ctx, cutoff)
+        e = magnus.leading_expansions([w], run.ctx, cutoff)[0]
         if e.valuation is None:
             result[name] = {"valuation": f"unknown(>{cutoff})"}
         else:

@@ -268,13 +268,24 @@ def expand(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
 def _expansion(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
     """The memo below expand: the expansions of the 128 most recently used
     (word, context, cutoff) keys.  A lower cutoff is computed anew, not read
-    off a higher one."""
+    off a higher one; leading_expansions asks only for 2, 4, 8, ..."""
     return MagnusExpansion(ctx, cutoff, _expand_word(w, ctx, cutoff))
+
+
+def leading_expansions(words, ctx: Context, cutoff: int) -> list:
+    """The words' expansions at the first c = 2, 4, 8, ..., capped at the
+    cutoff, where one of them shows a term.  Exact to c, they give the least
+    valuation and its components as at the cutoff, at about twice c's cost."""
+    c = min(2, cutoff)
+    while (exps := [expand(w, ctx, c) for w in words]) and c < cutoff \
+            and all(e.valuation is None for e in exps):
+        c = min(2 * c, cutoff)
+    return exps
 
 
 def initial_form(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
     """Lowest-degree homogeneous component of the expansion minus one."""
-    e = expand(w, ctx, cutoff)
+    e = leading_expansions([w], ctx, cutoff)[0]
     if e.valuation is None:
         raise PrecisionError(
             f"no terms of weighted degree <= {cutoff}; increase precision "
@@ -428,6 +439,10 @@ class Presentation:
         Massey tensor up to the cutoff are read off them."""
         ctx = Context(self.p, self.d)
         return [expand(w, ctx, cutoff) for _, w in self.relators]
+
+    def leading_expansions(self, cutoff: int) -> list:
+        """The relators' unweighted expansions as leading_expansions reads them."""
+        return leading_expansions(self.relator_words(), Context(self.p, self.d), cutoff)
 
     def relator_words(self):
         return [w for _, w in self.relators]

@@ -20,7 +20,7 @@ from .errors import BudgetError, PrecisionError
 from .freeness import FreenessVerdict, anick_check
 from .lie import NotInRestrictedLieError, lie_membership, p_power_commutator_split
 from .linalg import RowReducer, is_invertible, kernel_basis
-from .magnus import Presentation, expand
+from .magnus import Presentation, leading_expansions
 from .orders import UOrder, high_term
 
 MILD = "mild"
@@ -36,10 +36,7 @@ def zassenhaus_invariant(P: Presentation, cutoff: int):
     """Largest n with every relator of valuation >= n: the minimum of the
     relator valuations.  INFINITY for a free presentation; None when the
     minimum is not visible at this cutoff."""
-    exps = P.expansions(cutoff)
-    if not exps:
-        return INFINITY
-    return _least_valuation(exps)
+    return _least_valuation(P.leading_expansions(cutoff)) if P.m else INFINITY
 
 
 def _least_valuation(exps):
@@ -113,12 +110,11 @@ def _transform_values(values, matrix, p, d, n):
 def massey_tensor(P: Presentation, n=None, cutoff=None) -> MasseyTensor:
     """All length-n expansion coefficients of the relators, n = z(G) by
     default.  Defined only for n <= the Zassenhaus invariant (the products
-    are not uniquely defined beyond it).  The expansions are fetched once,
-    and z is their least valuation."""
+    are not uniquely defined beyond it).  The expansions are read once, at
+    n or by leading_expansions up to the cutoff; z is their least valuation."""
     if n is not None and n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
-    cutoff = max(cutoff or 0, n or 0)
-    exps = P.expansions(cutoff)
+    exps = P.leading_expansions(cutoff or 0) if n is None else P.expansions(n)
     z = _least_valuation(exps)
     if n is None:
         if z is None:
@@ -468,7 +464,7 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
     Demuškin-type route is demuskin(P, cutoff)."""
     _one_relator(P, "one-relator analysis")
     name, w = P.relators[0]
-    exps = P.expansions(cutoff)
+    exps = P.leading_expansions(cutoff)
     z = exps[0].valuation  # z(G) of one relator is its valuation
     routes: list[str] = []
     notes = []
@@ -491,7 +487,7 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
     memberships = []
     for tau in taus:
         # not None: a word of length z <= cutoff has weight <= cutoff * max(tau)
-        e = expand(w, P.context(tau), cutoff * max(tau))
+        e = leading_expansions([w], P.context(tau), cutoff * max(tau))[0]
         val = e.valuation
         coords = lie_membership(e.component(val), val)
         memberships.append(MembershipRecord(tau, val, coords is not None, coords))
@@ -508,7 +504,7 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
     bp_matrix = None
     bp_kernel = None
     if z == P.p and P.d >= 2:
-        bp_matrix = bn_map(massey_tensor(P, z, cutoff))
+        bp_matrix = bn_map(massey_tensor(P, cutoff=cutoff))
         bp_kernel = kernel_basis(P.p, bp_matrix, P.d)
 
     if P.d == 1:

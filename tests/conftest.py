@@ -16,6 +16,16 @@ def load_workloads():
     return module
 
 
+def load_worker(monkeypatch):
+    """The benchmark's one-pass runner, `perfbench/worker.py`, with its
+    directory on the path for the modules it imports."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("worker", ROOT / "perfbench" / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def count_expansions(monkeypatch) -> list:
     """(word, context, cutoff) of every expansion that the kernel computes
     below expand's memo, in order.  The memo is cleared first, so a key

@@ -395,6 +395,32 @@ def test_each_relator_expanded_once_per_weights_and_cutoff(monkeypatch, capsys, 
     assert [key for key, count in counts.items() if count > 1] == []
 
 
+# (command, hostile flags, reference flags): the reference run expands to a
+# cutoff that is cheap in full; at weights 3, 1 x1^2 already lies past x2^4
+HOSTILE_CUTOFFS = [
+    (["zassenhaus", "demuskin_p3.pres"], ["--cutoff", "100000"], []),
+    (["mild", "demuskin_p3.pres", "--search"], ["--cutoff", "100000"], []),
+    (["massey", "demuskin_p3.pres", "--tuple", "x1,x3,x3"], ["--cutoff", "100000"], []),
+    (["demuskin", "demuskin_p3.pres"], ["--cutoff", "100000"], []),
+    (["initial-forms", "two_four.pres"], ["--tau", "99999,1"], ["--tau", "3,1"]),
+    (["anick", "two_four.pres"], ["--tau", "99999,1"], ["--tau", "3,1"]),
+]
+
+
+@pytest.mark.parametrize("argv, hostile, reference", HOSTILE_CUTOFFS,
+                         ids=[argv[0] for argv, _, _ in HOSTILE_CUTOFFS])
+def test_a_hostile_cutoff_expands_only_to_the_valuation(monkeypatch, capsys, argv, hostile, reference):
+    # --cutoff and the weighted cutoff are upper bounds: the probe stops at 4
+    argv = [argv[0], str(PRES / argv[1]), *argv[2:]]
+    code, want = run_json(capsys, *argv, *reference)
+    assert code == 0
+    computed = count_expansions(monkeypatch)
+    code, got = run_json(capsys, *argv, *hostile)
+    assert code == 0
+    assert (got["result"], got["verdict"]) == (want["result"], want["verdict"])
+    assert max(cutoff for *_, cutoff in computed) <= 4
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])
 def test_env_budget_must_be_an_integer(capsys, monkeypatch, value):
     monkeypatch.setenv("MILDKIT_BUDGET", value)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import count_expansions
+from conftest import count_expansions, load_worker
 from mildkit.cli import main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
 from mildkit.algebra import Context
@@ -18,8 +18,8 @@ from mildkit.freeness import (
 )
 from mildkit.lie import hall_basis, hall_to_group_word
 from mildkit.magnus import (
-    Commutator, GroupWord, Gen, Presentation, Sub, _expansion, expand, initial_form, make_presentation,
-    substitute,
+    Commutator, GroupWord, Gen, Presentation, Sub, _expansion, expand, initial_form, leading_expansions,
+    make_presentation, substitute,
 )
 from mildkit.massey import (
     CRITERION_FAILED,
@@ -51,6 +51,22 @@ NAMES = {1: ["x"], 2: ["x1", "x2"], 3: ["x1", "x2", "x3"], 4: ["x1", "x2", "x3",
 
 def pres(p, d, relators, tau=None):
     return make_presentation(p, NAMES[d], [(f"r{k + 1}", t) for k, t in enumerate(relators)], tau)
+
+
+def first_probe_at(z: int) -> int:
+    """The first of the probe cutoffs 2, 4, 8, ... at or past z."""
+    c = 2
+    while c < z:
+        c *= 2
+    return c
+
+
+def assert_probed(computed, z):
+    """No (word, context, cutoff) key is computed twice, and none lies past
+    the first probe cutoff at or past z."""
+    keys = [(w, ctx, cutoff) for w, ctx, cutoff in computed]
+    assert len(set(keys)) == len(keys)
+    assert max(cutoff for *_, cutoff in keys) <= first_probe_at(z)
 
 
 DEMUSKIN_P3 = pres(3, 3, ["x1^3 x2^3 [[x1, x3], x3]"])
@@ -121,15 +137,19 @@ def test_tensor_refuses_beyond_invariant():
 
 def test_tensor_defaults_to_z_off_one_expansion_read(monkeypatch):
     reads = []
-    original = Presentation.expansions
+    original = Presentation.leading_expansions
 
-    def expansions(self, cutoff):
+    def leading_expansions(self, cutoff):
         reads.append(cutoff)
         return original(self, cutoff)
 
-    monkeypatch.setattr(Presentation, "expansions", expansions)
+    computed = count_expansions(monkeypatch)
+    monkeypatch.setattr(Presentation, "leading_expansions", leading_expansions)
     T = massey_tensor(DEMUSKIN_P3, cutoff=8)
     assert reads == [8]
+    # z = 3: the probe expands at 2, where nothing shows, and stops at 4
+    assert [cutoff for *_, cutoff in computed] == [2, 4]
+    assert_probed(computed, 3)
     assert T == massey_tensor(DEMUSKIN_P3, zassenhaus_invariant(DEMUSKIN_P3, 8), 8)
     with pytest.raises(PrecisionError, match="every relator expands to 1 up to degree 8"):
         massey_tensor(pres(2, 2, ["x1 x1^-1"]), cutoff=8)
@@ -677,35 +697,57 @@ def expand_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "P, run",
+    "P, run, cutoffs",
     [
-        (CIRCUIT, search_mild),
-        (CIRCUIT, lambda P: check_mild(P, subset_decomposition(4, (2, 4), 1))),
-        (DEMUSKIN_P3, demuskin_mildness),
+        (CIRCUIT, search_mild, [2]),
+        (CIRCUIT, lambda P: check_mild(P, subset_decomposition(4, (2, 4), 1)), [2]),
+        # z = 3: nothing shows at 2
+        (DEMUSKIN_P3, demuskin_mildness, [2, 4]),
     ],
     ids=["search_mild", "check_mild", "demuskin_mildness"],
 )
-def test_verdict_expands_each_relator_once(expand_calls, P, run):
+def test_verdict_expands_each_relator_once(expand_calls, P, run, cutoffs):
     assert run(P).status == MILD
-    assert len(expand_calls) == P.m
+    assert [(w, cutoff) for w, _, cutoff in expand_calls] == [
+        (w, cutoff) for cutoff in cutoffs for w in P.relator_words()
+    ]
+    assert_probed(expand_calls, zassenhaus_invariant(P, 8))
 
 
 def test_one_relator_expands_once_per_weight_vector(expand_calls):
     taus = [(2, 1, 1), (1, 1, 1), (2, 1, 1)]
     one_relator_verdict(DEMUSKIN_P3, extra_taus=taus)
     assert demuskin(DEMUSKIN_P3, 8)[1].status == MILD
+    # the weighted valuation at (2, 1, 1) is 3 as well, from X2^3
     assert [(ctx.tau, cutoff) for _, ctx, cutoff in expand_calls] == [
-        ((1, 1, 1), 8),
-        ((2, 1, 1), 16),
+        ((1, 1, 1), 2),
+        ((1, 1, 1), 4),
+        ((2, 1, 1), 2),
+        ((2, 1, 1), 4),
     ]
+    assert_probed(expand_calls, 3)
 
 
 def test_demuskin_command_reads_one_tensor(expand_calls, capsys):
-    # the type report and the mildness verdict share one expansion
+    # the type report and the mildness verdict share one probe; cutoff 1 is
+    # the minimality check made while loading the presentation
     code = cli_main(["demuskin", str(PRES / "demuskin_p3.pres"), "--cutoff", "8", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == MILD
-    assert [cutoff for _, _, cutoff in expand_calls if cutoff == 8] == [8]
+    assert [cutoff for _, _, cutoff in expand_calls] == [1, 2, 4]
+    assert_probed(expand_calls, 3)
+
+
+def test_a_sweep_pass_expands_nothing_past_cutoff_4(monkeypatch):
+    # the benchmark's verdict pipeline on every sweep presentation of seed 1;
+    # z is 2 or 3 for all of them, and a relator of valuation 3 stops at 4
+    worker = load_worker(monkeypatch)
+    sweep = [worker.mildkit.cli.parse_presentation_text(t) for t in worker.workloads.sweep_presentations(1)]
+    computed = count_expansions(monkeypatch)
+    for P in sweep:
+        assert worker._verdict_pipeline(P) == []
+    assert computed
+    assert_probed(computed, 3)
 
 
 # -- search and direct check agree ---------------------------------------------------
@@ -769,6 +811,29 @@ def test_witness_does_not_depend_on_how_the_relator_is_written():
         )
 
 
+# -- the probes read what the full cutoff reads --------------------------------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(1, 8))
+def test_probes_read_the_valuation_and_component_of_the_full_cutoff(P, weights, cutoff):
+    ctx = P.context(weights[: P.d])
+    for w in P.relator_words():
+        probed, full = leading_expansions([w], ctx, cutoff)[0], expand(w, ctx, cutoff)
+        assert probed.cutoff <= cutoff
+        assert probed.valuation == full.valuation
+        if full.valuation is not None:
+            assert probed.component(full.valuation) == full.component(full.valuation)
+    full = P.expansions(cutoff)
+    z = min((e.valuation for e in full if e.valuation is not None), default=None)
+    probed = P.leading_expansions(cutoff)
+    assert min((e.valuation for e in probed if e.valuation is not None), default=None) == z
+    assert zassenhaus_invariant(P, cutoff) == z
+    if z is not None:
+        assert [e.component(z) for e in probed] == [e.component(z) for e in full]
+
+
 # -- the expansion memo: shared, read only, one computation per key ---------------------
 
 
@@ -799,10 +864,14 @@ def test_readme_library_sequence_computes_each_expansion_once(expand_calls):
     strongly_free_oracle(ctx, [form], 12)
     assert verdict.is_mild
     keys = [(w, c.tau, cutoff) for w, c, cutoff in expand_calls]
+    # the load's minimality check at 1, then the probe at 2 and 4 (z = 3),
+    # which initial_form reads again from the memo
     assert keys == [
         (P.relators[0][1], (1, 1, 1), 1),
-        (P.relators[0][1], (1, 1, 1), 8),
+        (P.relators[0][1], (1, 1, 1), 2),
+        (P.relators[0][1], (1, 1, 1), 4),
     ]
+    assert_probed(expand_calls, 3)
 
 
 # -- verdicts under the commutator convention and letter permutations ----------------
