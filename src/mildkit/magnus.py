@@ -273,9 +273,9 @@ def _expansion(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
 
 
 def leading_expansions(words, ctx: Context, cutoff: int) -> list:
-    """The words' expansions at the first c = 2, 4, 8, ..., capped at the
-    cutoff, where one of them shows a term.  Exact to c, they give the least
-    valuation and its components as at the cutoff, at about twice c's cost."""
+    """The words' expansions at the first c = 2, 4, 8, ... (capped at the
+    cutoff) where one shows a term: exact to c, so the least valuation and its
+    components are those at the cutoff, for about twice the last read's cost."""
     c = min(2, cutoff)
     while (exps := [expand(w, ctx, c) for w in words]) and c < cutoff \
             and all(e.valuation is None for e in exps):
