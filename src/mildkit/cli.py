@@ -285,7 +285,7 @@ def cmd_massey(run):
         n = massey.zassenhaus_invariant(P, cutoff)
         if n is None or n is massey.INFINITY:
             raise PrecisionError("cannot infer n: Zassenhaus invariant unknown or infinite")
-    T = massey.massey_tensor(P, n, cutoff)
+    T = massey.massey_tensor(P, args.n, cutoff)  # without --n, off the probe that found z
     result = {"tensor": T.as_dict()}
     if args.tuple:
         tokens = split_list(args.tuple)

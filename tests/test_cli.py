@@ -418,7 +418,9 @@ def test_a_hostile_cutoff_expands_only_to_the_valuation(monkeypatch, capsys, arg
     code, got = run_json(capsys, *argv, *hostile)
     assert code == 0
     assert (got["result"], got["verdict"]) == (want["result"], want["verdict"])
-    assert max(cutoff for *_, cutoff in computed) <= 4
+    # the load's minimality check at 1, then probe cutoffs only, each key once
+    assert {cutoff for *_, cutoff in computed} <= {1, 2, 4}
+    assert len(set(computed)) == len(computed)
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])
