@@ -64,9 +64,8 @@ def first_probe_at(z: int) -> int:
 def assert_probed(computed, z):
     """No (word, context, cutoff) key is computed twice, and none lies past
     the first probe cutoff at or past z."""
-    keys = [(w, ctx, cutoff) for w, ctx, cutoff in computed]
-    assert len(set(keys)) == len(keys)
-    assert max(cutoff for *_, cutoff in keys) <= first_probe_at(z)
+    assert len(set(computed)) == len(computed)
+    assert max(cutoff for *_, cutoff in computed) <= first_probe_at(z)
 
 
 DEMUSKIN_P3 = pres(3, 3, ["x1^3 x2^3 [[x1, x3], x3]"])
@@ -740,7 +739,7 @@ def test_demuskin_command_reads_one_tensor(expand_calls, capsys):
 
 def test_a_sweep_pass_expands_nothing_past_cutoff_4(monkeypatch):
     # the benchmark's verdict pipeline on every sweep presentation of seed 1;
-    # z is 2 or 3 for all of them, and a relator of valuation 3 stops at 4
+    # each relator there has valuation 2 or 3, so no probe goes past 4
     worker = load_worker(monkeypatch)
     sweep = [worker.mildkit.cli.parse_presentation_text(t) for t in worker.workloads.sweep_presentations(1)]
     computed = count_expansions(monkeypatch)
