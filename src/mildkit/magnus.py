@@ -268,7 +268,7 @@ def expand(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
 def _expansion(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
     """The memo below expand: the expansions of the 128 most recently used
     (word, context, cutoff) keys.  A lower cutoff is computed anew, not read
-    off a higher one; leading_expansions asks only for 2, 4, 8, ..."""
+    off a higher one; leading_expansions asks for 2, 4, 8, ... and its cap."""
     return MagnusExpansion(ctx, cutoff, _expand_word(w, ctx, cutoff))
 
 
@@ -416,8 +416,8 @@ class Presentation:
                 raise ValueError(f"duplicate relator name {name!r}")
             seen.add(name)
         ctx = Context(self.p, self.d)  # validates the prime as well
-        for name, w in self.relators:
-            if expand(w, ctx, 1).valuation is not None:
+        for name, w in self.relators:  # the key that leading_expansions reads first
+            if expand(w, ctx, 2).valuation == 1:
                 raise ValueError(
                     f"relator {name!r} has valuation 1: presentation is not minimal"
                 )
@@ -432,13 +432,6 @@ class Presentation:
 
     def context(self, tau=None) -> Context:
         return Context(self.p, self.d, self.tau if tau is None else check_weights(tau))
-
-    def expansions(self, cutoff: int) -> list:
-        """The relators' unweighted expansions, truncated past the cutoff:
-        every coefficient of degree <= cutoff is exact, so z(G) and each
-        Massey tensor up to the cutoff are read off them."""
-        ctx = Context(self.p, self.d)
-        return [expand(w, ctx, cutoff) for _, w in self.relators]
 
     def leading_expansions(self, cutoff: int) -> list:
         """The relators' unweighted expansions as leading_expansions reads them."""

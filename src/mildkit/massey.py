@@ -107,14 +107,16 @@ def _transform_values(values, matrix, p, d, n):
     return cur
 
 
-def massey_tensor(P: Presentation, n=None, cutoff=None) -> MasseyTensor:
+def massey_tensor(P: Presentation, n=None, cutoff=8) -> MasseyTensor:
     """All length-n expansion coefficients of the relators, n = z(G) by
     default.  Defined only for n <= the Zassenhaus invariant (the products
-    are not uniquely defined beyond it).  The expansions are read once, at
-    n or by leading_expansions up to the cutoff; z is their least valuation."""
+    are not uniquely defined beyond it).  One probe reads the expansions, up
+    to n or else the cutoff; a probe that stops below n has found z < n."""
     if n is not None and n < 2:
         raise ValueError(f"tensors start at n = 2, got {n}")
-    exps = P.leading_expansions(cutoff or 0) if n is None else P.expansions(n)
+    if n is None and not P.m:
+        raise ValueError("free presentation: z(G) is infinite, so n must be given")
+    exps = P.leading_expansions(cutoff if n is None else n)
     z = _least_valuation(exps)
     if n is None:
         if z is None:

@@ -65,6 +65,7 @@ def test_corpus_files_load():
         "demuskin_p3.pres": (3, 3, 1),
         "cyclic_p3.pres": (3, 1, 1),
         "cup_demuskin_p2.pres": (2, 2, 1),
+        "length5_p7.pres": (7, 3, 1),
     }
     for fname, (p, d, m) in expected.items():
         P = load_presentation(str(PRES / fname))
@@ -388,29 +389,33 @@ def test_each_relator_expanded_once_per_weights_and_cutoff(monkeypatch, capsys, 
     monkeypatch.chdir(ROOT)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
-    keys = [(w, ctx.tau, cutoff) for w, ctx, cutoff in computed]
-    # cutoff 1 is the minimality check made while loading the presentation
-    counts = Counter(key for key in keys if key[2] != 1)
+    # the minimality check made while loading computes the probe's first key,
+    # so no key lies at cutoff 1
+    counts = Counter((w, ctx.tau, cutoff) for w, ctx, cutoff in computed)
     assert counts
+    assert [key for key in counts if key[2] == 1] == []
     assert [key for key, count in counts.items() if count > 1] == []
 
 
-# (command, hostile flags, reference flags): the reference run expands to a
-# cutoff that is cheap in full; at weights 3, 1 x1^2 already lies past x2^4
+# (command, hostile flags, reference flags, the cutoffs it expands at):
+# the reference run expands to a cutoff that is cheap in full; at weights
+# 3, 1 x1^2 already lies past x2^4
 HOSTILE_CUTOFFS = [
-    (["zassenhaus", "demuskin_p3.pres"], ["--cutoff", "100000"], []),
-    (["mild", "demuskin_p3.pres", "--search"], ["--cutoff", "100000"], []),
-    (["massey", "demuskin_p3.pres", "--tuple", "x1,x3,x3"], ["--cutoff", "100000"], []),
-    (["demuskin", "demuskin_p3.pres"], ["--cutoff", "100000"], []),
-    (["initial-forms", "two_four.pres"], ["--tau", "99999,1"], ["--tau", "3,1"]),
-    (["anick", "two_four.pres"], ["--tau", "99999,1"], ["--tau", "3,1"]),
+    (["zassenhaus", "demuskin_p3.pres"], ["--cutoff", "100000"], [], {2, 4}),
+    (["mild", "demuskin_p3.pres", "--search"], ["--cutoff", "100000"], [], {2, 4}),
+    (["massey", "demuskin_p3.pres", "--tuple", "x1,x3,x3"], ["--cutoff", "100000"], [], {2, 4}),
+    (["massey", "demuskin_p3.pres", "--n", "3"], ["--cutoff", "100000"], [], {2, 3}),
+    (["demuskin", "demuskin_p3.pres"], ["--cutoff", "100000"], [], {2, 4}),
+    (["initial-forms", "two_four.pres"], ["--tau", "99999,1"], ["--tau", "3,1"], {2, 4}),
+    (["anick", "two_four.pres"], ["--tau", "99999,1"], ["--tau", "3,1"], {2, 4}),
 ]
 
 
-@pytest.mark.parametrize("argv, hostile, reference", HOSTILE_CUTOFFS,
-                         ids=[argv[0] for argv, _, _ in HOSTILE_CUTOFFS])
-def test_a_hostile_cutoff_expands_only_to_the_valuation(monkeypatch, capsys, argv, hostile, reference):
-    # --cutoff and the weighted cutoff are upper bounds: the probe stops at 4
+@pytest.mark.parametrize("argv, hostile, reference, probes", HOSTILE_CUTOFFS,
+                         ids=[argv[0] + (" --n" if "--n" in argv else "") for argv, *_ in HOSTILE_CUTOFFS])
+def test_a_hostile_cutoff_expands_only_to_the_valuation(monkeypatch, capsys, argv, hostile, reference, probes):
+    # --cutoff and the weighted cutoff are upper bounds: the probe stops at 4,
+    # or at n
     argv = [argv[0], str(PRES / argv[1]), *argv[2:]]
     code, want = run_json(capsys, *argv, *reference)
     assert code == 0
@@ -418,8 +423,8 @@ def test_a_hostile_cutoff_expands_only_to_the_valuation(monkeypatch, capsys, arg
     code, got = run_json(capsys, *argv, *hostile)
     assert code == 0
     assert (got["result"], got["verdict"]) == (want["result"], want["verdict"])
-    # the load's minimality check at 1, then probe cutoffs only, each key once
-    assert {cutoff for *_, cutoff in computed} <= {1, 2, 4}
+    # probe cutoffs only, the load's minimality check among them, each key once
+    assert {cutoff for *_, cutoff in computed} == probes
     assert len(set(computed)) == len(computed)
 
 
@@ -548,6 +553,46 @@ def test_only_the_cli_imports_the_cli():
     assert "magnus.py" in [path.name for path in modules]
     assert [path.name for path in modules
             if path.name != "cli.py" and imports_cli(path.read_text(encoding="utf-8"))] == []
+
+
+def expand_callers(source: str) -> list:
+    """The qualified name of the function around each call of expand, by
+    name or as an attribute (`magnus.expand`); '' at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and "expand" in (getattr(child.func, "id", None),
+                                                            getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_expand_callers_finds_every_call():
+    source = (
+        "from . import magnus\n"
+        "def leading_expansions(words):\n    return [expand(w, c, 2) for w in words]\n"
+        "class Presentation:\n    def __post_init__(self):\n        magnus.expand(w, c, 2)\n"
+        "def outer():\n    def inner():\n        return expand(w, c, expand_word(w))\n"
+        "e = magnus.expansion(w), expanded(w), _expand(w)\n"
+    )
+    assert expand_callers(source) == ["leading_expansions", "Presentation.__post_init__", "outer.inner"]
+    magnus_py = (ROOT / "src" / "mildkit" / "magnus.py").read_text(encoding="utf-8")
+    added = magnus_py + "\n\ndef reader(w, ctx):\n    return expand(w, ctx, 8).poly\n"
+    assert expand_callers(added) == [*expand_callers(magnus_py), "reader"]
+
+
+def test_only_the_probe_the_load_check_and_the_expand_command_call_expand():
+    # every other reader of a relator goes through leading_expansions
+    calls = sorted(f"{path.stem}.{name}" for path in (ROOT / "src" / "mildkit").glob("*.py")
+                   for name in expand_callers(path.read_text(encoding="utf-8")))
+    assert calls == ["cli.cmd_expand", "magnus.Presentation.__post_init__", "magnus.leading_expansions"]
 
 
 def test_cli_reexports_the_presentation_reader():

@@ -144,14 +144,22 @@ def test_tensor_defaults_to_z_off_one_expansion_read(monkeypatch):
 
     computed = count_expansions(monkeypatch)
     monkeypatch.setattr(Presentation, "leading_expansions", leading_expansions)
-    T = massey_tensor(DEMUSKIN_P3, cutoff=8)
+    T = massey_tensor(DEMUSKIN_P3)  # the documented default cutoff is 8
     assert reads == [8]
     # z = 3: the probe expands at 2, where nothing shows, and stops at 4
     assert [cutoff for *_, cutoff in computed] == [2, 4]
     assert_probed(computed, 3)
     assert T == massey_tensor(DEMUSKIN_P3, zassenhaus_invariant(DEMUSKIN_P3, 8), 8)
     with pytest.raises(PrecisionError, match="every relator expands to 1 up to degree 8"):
-        massey_tensor(pres(2, 2, ["x1 x1^-1"]), cutoff=8)
+        massey_tensor(pres(2, 2, ["x1 x1^-1"]))
+
+
+def test_tensor_of_a_free_presentation_needs_an_n():
+    # no relators: z(G) is infinite, not unknown at the cutoff
+    free = pres(3, 2, [])
+    with pytest.raises(ValueError, match="free presentation"):
+        massey_tensor(free)
+    assert massey_tensor(free, 3).values == ()
 
 
 def test_cup_product_sign():
@@ -728,12 +736,12 @@ def test_one_relator_expands_once_per_weight_vector(expand_calls):
 
 
 def test_demuskin_command_reads_one_tensor(expand_calls, capsys):
-    # the type report and the mildness verdict share one probe; cutoff 1 is
-    # the minimality check made while loading the presentation
+    # the type report and the mildness verdict share one probe, whose first
+    # key the minimality check computed while loading the presentation
     code = cli_main(["demuskin", str(PRES / "demuskin_p3.pres"), "--cutoff", "8", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == MILD
-    assert [cutoff for _, _, cutoff in expand_calls] == [1, 2, 4]
+    assert [cutoff for _, _, cutoff in expand_calls] == [2, 4]
     assert_probed(expand_calls, 3)
 
 
@@ -824,7 +832,7 @@ def test_probes_read_the_valuation_and_component_of_the_full_cutoff(P, weights, 
         assert probed.valuation == full.valuation
         if full.valuation is not None:
             assert probed.component(full.valuation) == full.component(full.valuation)
-    full = P.expansions(cutoff)
+    full = [expand(w, Context(P.p, P.d), cutoff) for w in P.relator_words()]
     z = min((e.valuation for e in full if e.valuation is not None), default=None)
     probed = P.leading_expansions(cutoff)
     assert min((e.valuation for e in probed if e.valuation is not None), default=None) == z
@@ -863,10 +871,9 @@ def test_readme_library_sequence_computes_each_expansion_once(expand_calls):
     strongly_free_oracle(ctx, [form], 12)
     assert verdict.is_mild
     keys = [(w, c.tau, cutoff) for w, c, cutoff in expand_calls]
-    # the load's minimality check at 1, then the probe at 2 and 4 (z = 3),
-    # which initial_form reads again from the memo
+    # the load's minimality check at 2, which the probe then reads from the
+    # memo, and the probe at 4 (z = 3); initial_form reads both again
     assert keys == [
-        (P.relators[0][1], (1, 1, 1), 1),
         (P.relators[0][1], (1, 1, 1), 2),
         (P.relators[0][1], (1, 1, 1), 4),
     ]
