@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+import operator
 
 from .errors import ContextMismatchError
 
@@ -44,8 +44,66 @@ def check_weights(tau) -> tuple[int, ...]:
     return tau
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
+_setattr = object.__setattr__
+_MISSING = object()
+
+
+class Frozen:
+    """Base of mildkit's immutable values.  A class's fields follow its bases':
+    its `__slots__`, else its annotated names, a class-level value being the
+    default.  The base gives equality by class and fields, the hash of the
+    field tuple, a repr, `replace`, assignment that raises, and a constructor
+    that runs `__post_init__`.  The slotted hot types write their own
+    `__init__`, `__eq__` and `__hash__`, to the same effect."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__") or cls.__annotations__
+        cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._defaults = tuple(getattr(cls, n, _MISSING) for n in fields)
+        # the field tuple, as self._values(self)
+        cls._values = staticmethod(operator.attrgetter(*fields) if len(fields) > 1
+                                   else lambda obj: tuple([getattr(obj, n) for n in fields]))
+
+    def __init__(self, *args, **kwargs):
+        fields, given = self._fields, len(args)
+        if given != len(fields) or kwargs:
+            defaults = self._defaults[given:]
+            args += tuple([kwargs.pop(n, v) for n, v in zip(fields[given:], defaults)]) if kwargs else defaults
+            if len(args) != len(fields) or kwargs or _MISSING in args:
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked like a new value."""
+        return type(self)(*[changes.pop(n, getattr(self, n)) for n in self._fields], **changes)
+
+
+class Context(Frozen):
     """Ambient data for polynomial arithmetic: prime modulus p, number of
     generators d, and the weight vector tau assigning deg X_i = tau_i
     (all 1 when omitted).
@@ -54,21 +112,28 @@ class Context:
     operations require equal contexts on both operands.
     """
 
-    p: int
-    d: int
-    tau: tuple[int, ...] = None
+    __slots__ = ("p", "d", "tau")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.p > MAX_MODULUS:
-            raise ValueError(f"modulus {self.p} exceeds the supported bound {MAX_MODULUS}")
-        if self.d < 1:
+    def __init__(self, p: int, d: int, tau=None):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        if p > MAX_MODULUS:
+            raise ValueError(f"modulus {p} exceeds the supported bound {MAX_MODULUS}")
+        if d < 1:
             raise ValueError("need at least one generator")
-        tau = check_weights((1,) * self.d if self.tau is None else self.tau)
-        if len(tau) != self.d:
-            raise ValueError(f"expected {self.d} weights, got {len(tau)}")
-        object.__setattr__(self, "tau", tau)
+        tau = check_weights((1,) * d if tau is None else tau)
+        if len(tau) != d:
+            raise ValueError(f"expected {d} weights, got {len(tau)}")
+        _setattr(self, "p", p)
+        _setattr(self, "d", d)
+        _setattr(self, "tau", tau)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.p == other.p and self.d == other.d
+                and self.tau == other.tau)
+
+    def __hash__(self):
+        return hash((self.p, self.d, self.tau))
 
     def monomial(self, letters) -> Monomial:
         letters = tuple(letters)
@@ -107,16 +172,25 @@ class Context:
         return self.poly([((i,), 1)])
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Frozen):
     """A word over generator indices with its weighted degree cached.
 
     The cached degree makes concatenation weight-free: degrees add.  The
     empty word is the monomial 1 (degree 0).
     """
 
-    letters: tuple[int, ...]
-    tau_degree: int
+    __slots__ = ("letters", "tau_degree")
+
+    def __init__(self, letters: tuple[int, ...], tau_degree: int):
+        _setattr(self, "letters", letters)
+        _setattr(self, "tau_degree", tau_degree)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.letters == other.letters
+                and self.tau_degree == other.tau_degree)
+
+    def __hash__(self):
+        return hash((self.letters, self.tau_degree))
 
     def __mul__(self, other: Monomial) -> Monomial:
         return Monomial(self.letters + other.letters, self.tau_degree + other.tau_degree)
@@ -144,14 +218,16 @@ class Monomial:
         return f"Monomial({self.format()})"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Poly:
+class Poly(Frozen):
     """Sparse noncommutative polynomial over F_p: a map monomial -> nonzero
     coefficient in [1, p).  Immutable after construction.
     """
 
-    ctx: Context
-    terms: dict[Monomial, int]
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx: Context, terms: dict[Monomial, int]):
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "terms", terms)
 
     def _check(self, other: Poly):
         if self.ctx != other.ctx:
@@ -160,9 +236,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ctx, frozenset(self.terms.items())))
@@ -276,16 +349,15 @@ def mul_truncated(a: Poly, b: Poly, cutoff: int) -> Poly:
     return Poly(a.ctx, terms)
 
 
-@dataclass(frozen=True, slots=True)
-class IntSeries:
+class IntSeries(Frozen):
     """Integer power series c_0 + c_1 t + ... + c_N t^N known up to cutoff N."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        _setattr(self, "coeffs", tuple(int(c) for c in coeffs))
 
     @property
     def cutoff(self) -> int:
@@ -348,18 +420,18 @@ def series_compare(a: IntSeries, b: IntSeries) -> str:
     return EQUAL_TO_CUTOFF
 
 
-class Record:
-    """Base of the result dataclasses.  `as_dict` is the JSON envelope of a
+class Record(Frozen):
+    """Base of the result records.  `as_dict` is the JSON envelope of a
     record: its fields in declaration order, leaving out a field that is
     None or "" (0 and False stay).  Nested records and sequences recurse,
     and a Poly or Monomial prints with `format(names)`."""
 
     def as_dict(self, names=None) -> dict:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if value is not None and value != "":
-                out[f.name] = _envelope(value, names)
+                out[name] = _envelope(value, names)
         return out
 
 

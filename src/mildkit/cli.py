@@ -15,7 +15,8 @@ Exit codes: 0 = computed (whatever the verdict), 1 = negative verdict
 under --strict, 2 = input error, 3 = budget or precision error; a reader
 that closes stdout early (``| head``) ends the command quietly with 0.  The
 matrix-entry budget defaults to 2_000_000 and can be overridden with
---budget or the MILDKIT_BUDGET environment variable.
+--budget or the MILDKIT_BUDGET environment variable; `hall` spends it on
+Hall commutators instead.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import BudgetError, MildkitError, ParseError, PrecisionError
 from .magnus import expand, initial_form, int_list, load_presentation, split_list, word_to_text
 # re-exported: the benchmark's tracer wraps mildkit.cli.parse_presentation_text
 from .magnus import parse_presentation_text  # noqa: F401
-from .lie import hall_basis_by_tau_degree, restricted_basis
+from .lie import hall_basis_by_tau_degree, restricted_basis, witt_number
 from .orders import parse_order_spec
 
 DEFAULT_BUDGET = 2_000_000
@@ -323,6 +324,12 @@ def cmd_hall(run):
     tau = int_list(args.weights, "--weights") if args.weights else (1,) * args.d
     if len(tau) != args.d:
         raise ParseError(f"expected {args.d} weights, got {len(tau)}")
+    # price the Hall layers of weight 1..n by Witt's formula before building them
+    count = 0
+    for w in range(1, args.n + 1 if args.d > 1 else 2):
+        count += witt_number(args.d, w)
+        if count > run.budget:
+            raise BudgetError(f"{count} Hall commutators of weight <= {w} exceed the budget of {run.budget}")
     inputs = {"d": args.d, "n": args.n, "weights": list(tau)}
     if args.p is not None:
         inputs["p"] = args.p

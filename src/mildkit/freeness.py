@@ -20,9 +20,7 @@ one can only mean an implementation bug; the oracle aborts on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import Context, IntSeries, Monomial, Record, check_weights
+from .algebra import Context, Frozen, IntSeries, Monomial, Record, check_weights
 from .errors import InternalInvariantError
 from .linalg import RowReducer, check_budget, push
 from .orders import high_term
@@ -39,8 +37,7 @@ INADMISSIBLE = "inadmissible"
 # combinatorial freeness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OverlapWitness:
+class OverlapWitness(Frozen):
     """Why a monomial sequence fails combinatorial freeness.
 
     kind "submonomial": rho_i occurs inside rho_j starting at offset.
@@ -63,8 +60,7 @@ class OverlapWitness:
         )
 
 
-@dataclass(frozen=True)
-class CombFreeResult:
+class CombFreeResult(Frozen):
     free: bool
     witness: OverlapWitness | None = None
 
@@ -105,7 +101,6 @@ def combinatorially_free(rhos) -> CombFreeResult:
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FreenessCertificate(Record):
     """Names the order and the high terms that witnessed a proof."""
 
@@ -113,7 +108,6 @@ class FreenessCertificate(Record):
     high_terms: tuple[Monomial, ...]
 
 
-@dataclass(frozen=True)
 class FreenessVerdict(Record):
     status: str
     engine: str
@@ -357,7 +351,6 @@ def target_series(tau, sigmas, N: int) -> IntSeries:
     return denominator_series(tau, sigmas, N).inverse()
 
 
-@dataclass(frozen=True)
 class AdmissibilityResult(Record):
     status: str
     degree: int

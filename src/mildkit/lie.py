@@ -9,17 +9,15 @@ equal weight compare lexicographically by (left, right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import Context, Poly, check_weights, is_prime
+from .algebra import Context, Frozen, Poly, check_weights, is_prime
 from .errors import MildkitError
 from .linalg import solve_combination
 from .magnus import Gen, GroupWord, Sub, commutator as group_commutator
 
 
-@dataclass(frozen=True)
-class HallElement:
+class HallElement(Frozen):
     """A Hall commutator: either a generator leaf or a bracket of two
     smaller Hall elements, with weight and weighted degree cached."""
 
@@ -98,8 +96,7 @@ def hall_basis_by_tau_degree(d: int, tdeg: int, tau) -> list[HallElement]:
     return out
 
 
-@dataclass(frozen=True)
-class RestrictedBasisElement:
+class RestrictedBasisElement(Frozen):
     """A Hall commutator raised to a p^j-th power (j = 0: the commutator
     itself); contributes in weighted degree tau_degree(base) * p^j."""
 
@@ -215,8 +212,7 @@ def lie_membership(f: Poly, n: int):
     return _solve_over(ctx, basis, f, n)
 
 
-@dataclass(frozen=True)
-class PowerCommutatorSplit:
+class PowerCommutatorSplit(Frozen):
     """Unique coordinates over the restricted Hall basis, partitioned into
     genuine p-power elements (j >= 1) and pure commutators."""
 

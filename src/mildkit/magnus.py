@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
-from .algebra import Context, Poly, check_weights
+from .algebra import Context, Frozen, Poly, check_weights
 from .errors import ParseError, PrecisionError
 
 
@@ -34,29 +33,39 @@ from .errors import ParseError, PrecisionError
 # word structure
 # ---------------------------------------------------------------------------
 
-class _Atom:
+class _Atom(Frozen):
     """A factor of a word: a generator, a commutator or a parenthesized
     subword, raised to a nonzero exponent."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.exponent == 0:
             raise ValueError("zero exponent")
 
 
-@dataclass(frozen=True)
 class Gen(_Atom):
-    index: int
-    exponent: int = 1
+    __slots__ = ("index", "exponent")
+
+    def __init__(self, index: int, exponent: int = 1):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "exponent", exponent)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.index == other.index
+                and self.exponent == other.exponent)
+
+    def __hash__(self):
+        return hash((self.index, self.exponent))
 
 
-@dataclass(frozen=True)
 class Commutator(_Atom):
     left: GroupWord
     right: GroupWord
     exponent: int = 1
 
 
-@dataclass(frozen=True)
 class Sub(_Atom):
     """Parenthesized subword, possibly with an exponent (e.g. the inverse)."""
 
@@ -64,15 +73,23 @@ class Sub(_Atom):
     exponent: int = 1
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    factors: tuple = ()
+class GroupWord(Frozen):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple = ()):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     def __mul__(self, other: GroupWord) -> GroupWord:
         return GroupWord(self.factors + other.factors)
 
     def inverse(self) -> GroupWord:
-        return GroupWord(tuple(replace(a, exponent=-a.exponent) for a in reversed(self.factors)))
+        return GroupWord(tuple(a.replace(exponent=-a.exponent) for a in reversed(self.factors)))
 
     def max_index(self) -> int:
         top = 0
@@ -109,9 +126,9 @@ def substitute(w: GroupWord, images) -> GroupWord:
             out.append(Sub(images[atom.index - 1], atom.exponent))
         elif isinstance(atom, Commutator):
             left, right = substitute(atom.left, images), substitute(atom.right, images)
-            out.append(replace(atom, left=left, right=right))
+            out.append(atom.replace(left=left, right=right))
         else:
-            out.append(replace(atom, word=substitute(atom.word, images)))
+            out.append(atom.replace(word=substitute(atom.word, images)))
     return GroupWord(tuple(out))
 
 
@@ -134,8 +151,7 @@ def word_to_text(w: GroupWord, names=None) -> str:
 # expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MagnusExpansion:
+class MagnusExpansion(Frozen):
     """Truncated Magnus expansion: all terms of weighted degree <= cutoff,
     kept as the kernel's degree buckets, which expand's memo shares and
     nothing mutates.  poly decodes every term into a new Poly; valuation
@@ -332,7 +348,7 @@ class _WordParser:
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            atom = replace(atom, exponent=atom.exponent * self.parse_int())
+            atom = atom.replace(exponent=atom.exponent * self.parse_int())
         return atom
 
     def parse_atom(self):
@@ -391,8 +407,7 @@ def parse_word(text: str, names, line=None, column_offset=0) -> GroupWord:
 # presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """A finite pro-p presentation: prime, generator names, weights, and
     named relator words.  Loading checks that every relator has valuation
     >= 2 in the unweighted filtration (minimality); deeper structure is

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
 
-from .algebra import INFINITY, Context, Monomial, Poly, Record
+from .algebra import INFINITY, Context, Frozen, Monomial, Poly, Record
 from .errors import BudgetError, PrecisionError
 from .freeness import FreenessVerdict, anick_check
 from .lie import NotInRestrictedLieError, lie_membership, p_power_commutator_split
@@ -47,8 +46,7 @@ def _least_valuation(exps):
 # tensors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MasseyTensor:
+class MasseyTensor(Frozen):
     """For each relator, the map multi-index I (length n) -> coefficient of
     X_I in its Magnus expansion, stored sparsely."""
 
@@ -72,10 +70,8 @@ class MasseyTensor:
     def transformed(self, matrix) -> MasseyTensor:
         """Tensor after the change of dual basis chi'_i = sum_a Q[i][a] chi_a;
         equals the coefficient tensor of the relators in the new letters."""
-        vals = tuple(
-            _transform_values(v, matrix, self.p, self.d, self.n) for v in self.values
-        )
-        return MasseyTensor(self.p, self.d, self.n, self.relator_names, vals)
+        return self.replace(values=tuple(
+            _transform_values(v, matrix, self.p, self.d, self.n) for v in self.values))
 
     def as_dict(self):
         return {
@@ -184,8 +180,7 @@ def _shuffle_patterns(a: int, b: int):
     return patterns
 
 
-@dataclass(frozen=True)
-class ShuffleReport:
+class ShuffleReport(Frozen):
     a: int
     b: int
     checked: int
@@ -240,7 +235,6 @@ def bn_map(T: MasseyTensor) -> list[list[int]]:
 # the decomposition criterion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Decomposition(Record):
     """A splitting of the dual basis: after the (optional) basis change,
     U is spanned by the first c coordinates and V by the rest; e is the
@@ -251,7 +245,6 @@ class Decomposition(Record):
     matrix: tuple | None = None
 
 
-@dataclass(frozen=True)
 class MildCertificate(Record):
     """Re-execution of the criterion's proof path: the transformed,
     row-reduced degree-n relator forms, their high terms under the subset
@@ -266,7 +259,6 @@ class MildCertificate(Record):
     notes: str = ""
 
 
-@dataclass(frozen=True)
 class MildVerdict(Record):
     status: str
     reason: str = ""
@@ -416,7 +408,7 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
     for D, label in cases:
         verdict = _decide(T, D)
         if verdict.is_mild:
-            return replace(verdict, reason=f"found by search: {label}")
+            return verdict.replace(reason=f"found by search: {label}")
     return MildVerdict(
         CRITERION_FAILED,
         f"criterion failed for all {count} searched decompositions",
@@ -427,16 +419,14 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
 # one-relator reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipRecord:
+class MembershipRecord(Frozen):
     tau: tuple[int, ...]
     valuation: int
     is_lie: bool
     coordinates: list | None = None
 
 
-@dataclass(frozen=True)
-class OneRelatorReport:
+class OneRelatorReport(Frozen):
     p: int
     d: int
     relator: str
@@ -529,8 +519,7 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
 # Demuškin type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DemuskinTypeReport:
+class DemuskinTypeReport(Frozen):
     is_type: bool
     n: int
     witness: tuple | None = None
@@ -629,7 +618,7 @@ def demuskin(
     verdict = _decide(T, Decomposition(d - 1, 1, tuple(rows)))
     if verdict.is_mild:
         reason = f"Demuškin-type construction with chi = {list(chi)} spanning V"
-        verdict = replace(verdict, reason=reason)
+        verdict = verdict.replace(reason=reason)
     return report, verdict
 
 

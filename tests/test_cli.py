@@ -311,6 +311,23 @@ def test_hall_p1_exits_instead_of_looping():
     assert "p must be a prime" in done.stderr
 
 
+def test_hall_prices_its_layers_before_building_them(capsys):
+    # Witt's formula counts the Hall commutators of each weight: 2000 of
+    # weight 1 and 1,999,000 of weight 2 for d = 2000
+    assert main(["hall", "--d", "2000", "--n", "2", "--budget", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2000 Hall commutators of weight <= 1 exceed the budget of 100\n"
+    assert main(["hall", "--d", "2000", "--n", "2"]) == 3  # the default budget of 2,000,000
+    assert "2001000 Hall commutators of weight <= 2" in capsys.readouterr().err
+    # d = 2 to weight 4 holds 2 + 1 + 2 + 3 = 8, with --p or --weights too
+    for extra in [[], ["--p", "2"], ["--weights", "2,1"]]:
+        assert main(["hall", "--d", "2", "--n", "4", "--budget", "8", *extra]) == 0
+        assert main(["hall", "--d", "2", "--n", "4", "--budget", "7", *extra]) == 3
+    capsys.readouterr()
+    assert main(["hall", "--d", "1", "--n", "50", "--budget", "1"]) == 0  # one letter, no brackets
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.pres"
     bad.write_text("p: 4\ngenerators: a\nrelators:\n  r: a^2\n")

@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -403,9 +402,9 @@ def test_search_mild_circuit():
 def test_verdicts_are_frozen():
     verdict = search_mild(CIRCUIT)
     assert verdict.reason == "found by search: U = span(1, 3), e = 1"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         verdict.reason = ""
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         verdict.certificate.notes = ""
 
 
@@ -509,7 +508,7 @@ def test_records_serialize_as_the_hand_written_envelopes():
         "n", "order", "decomposition", "initial_forms", "high_terms", "anick", "notes"]
     # the departure: fields the hand-written serializers always wrote, such
     # as an empty note or order, are left out like every other "" field
-    assert "notes" not in replace(mild_certs[0], notes="").as_dict()
+    assert "notes" not in mild_certs[0].replace(notes="").as_dict()
     assert FreenessCertificate("", ()).as_dict() == {"high_terms": []}
 
 
@@ -889,9 +888,9 @@ def _opposite_convention(w: GroupWord) -> GroupWord:
     def atom(a):
         if isinstance(a, Commutator):
             left, right = (_opposite_convention(x).inverse() for x in (a.left, a.right))
-            return replace(a, left=left, right=right)
+            return a.replace(left=left, right=right)
         if isinstance(a, Sub):
-            return replace(a, word=_opposite_convention(a.word))
+            return a.replace(word=_opposite_convention(a.word))
         return a
 
     return GroupWord(tuple(atom(a) for a in w.factors))
