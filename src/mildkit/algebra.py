@@ -53,8 +53,8 @@ class Frozen:
     its `__slots__`, else its annotated names, a class-level value being the
     default.  The base gives equality by class and fields, the hash of the
     field tuple, a repr, `replace`, assignment that raises, and a constructor
-    that runs `__post_init__`.  The slotted hot types write their own
-    `__init__`, `__eq__` and `__hash__`, to the same effect."""
+    that runs `__post_init__`.  The slotted types write their own `__init__`,
+    and the hot ones their own `__eq__` and `__hash__`, to the same effect."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
