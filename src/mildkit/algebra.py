@@ -53,8 +53,9 @@ class Frozen:
     its `__slots__`, else its annotated names, a class-level value being the
     default.  The base gives equality by class and fields, the hash of the
     field tuple, a repr, `replace`, assignment that raises, and a constructor
-    that runs `__post_init__`.  The slotted types write their own `__init__`,
-    and the hot ones their own `__eq__` and `__hash__`, to the same effect."""
+    that then runs the class's `__post_init__` check, if it has one.  The
+    slotted types write their own `__init__`, and the hot ones their own
+    `__eq__` and `__hash__`, to the same effect."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -64,6 +65,7 @@ class Frozen:
         own = cls.__dict__.get("__slots__") or cls.__annotations__
         cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
         cls._defaults = tuple(getattr(cls, n, _MISSING) for n in fields)
+        cls._checked = hasattr(cls, "__post_init__")
         # the field tuple, as self._values(self)
         cls._values = staticmethod(operator.attrgetter(*fields) if len(fields) > 1
                                    else lambda obj: tuple([getattr(obj, n) for n in fields]))
@@ -76,10 +78,8 @@ class Frozen:
             if len(args) != len(fields) or kwargs or _MISSING in args:
                 raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
         self.__dict__.update(zip(fields, args))
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
+        if self._checked:
+            self.__post_init__()
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self._values(self) == other._values(other)
