@@ -73,11 +73,14 @@ class Frozen:
     def __init__(self, *args, **kwargs):
         fields, given = self._fields, len(args)
         if given != len(fields) or kwargs:
-            defaults = self._defaults[given:]
-            args += tuple([kwargs.pop(n, v) for n, v in zip(fields[given:], defaults)]) if kwargs else defaults
+            rest = self._defaults[given:]
+            args += tuple([kwargs.pop(n, v) for n, v in zip(fields[given:], rest)]) if kwargs else rest
             if len(args) != len(fields) or kwargs or _MISSING in args:
                 raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
-        self.__dict__.update(zip(fields, args))
+        # one field at a time: __dict__.update would turn the inline values
+        # into a dict, and every later read of a field would be slower
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
         if self._checked:
             self.__post_init__()
 

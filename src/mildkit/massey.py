@@ -70,8 +70,10 @@ class MasseyTensor(Frozen):
     def transformed(self, matrix) -> MasseyTensor:
         """Tensor after the change of dual basis chi'_i = sum_a Q[i][a] chi_a;
         equals the coefficient tensor of the relators in the new letters."""
-        return self.replace(values=tuple(
-            _transform_values(v, matrix, self.p, self.d, self.n) for v in self.values))
+        vals = tuple(
+            _transform_values(v, matrix, self.p, self.d, self.n) for v in self.values
+        )
+        return MasseyTensor(self.p, self.d, self.n, self.relator_names, vals)
 
     def as_dict(self):
         return {
