@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import freeness, magnus, massey
-from .algebra import series_compare, EQUAL_TO_CUTOFF
+from .algebra import series_compare, check_weights, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
 from .magnus import expand, initial_form, int_list, load_presentation, split_list, word_to_text
 # re-exported: the benchmark's tracer wraps mildkit.cli.parse_presentation_text
@@ -321,12 +321,15 @@ def cmd_hall(run):
     args = run.args
     if args.d < 1 or args.n < 1:
         raise ParseError("need d >= 1 and n >= 1")
-    tau = int_list(args.weights, "--weights") if args.weights else (1,) * args.d
+    tau = check_weights(int_list(args.weights, "--weights")) if args.weights else (1,) * args.d
     if len(tau) != args.d:
         raise ParseError(f"expected {args.d} weights, got {len(tau)}")
-    # price the Hall layers of weight 1..n by Witt's formula before building them
+    # price by Witt's formula the Hall layers that the listing builds, of
+    # weight 1..n // min(weights), before building them; d = 1 has no
+    # commutator past its one letter
+    top = max(1, args.n // min(tau)) if args.d > 1 else 1
     count = 0
-    for w in range(1, args.n + 1 if args.d > 1 else 2):
+    for w in range(1, top + 1):
         count += witt_number(args.d, w)
         if count > run.budget:
             raise BudgetError(f"{count} Hall commutators of weight <= {w} exceed the budget of {run.budget}")

@@ -62,7 +62,9 @@ def hall_basis(d: int, n: int) -> list[HallElement]:
 
 
 def hall_layers(d: int, n: int, tau=None) -> list[list[HallElement]]:
-    """Hall commutators of every weight 1..n, indexed by weight."""
+    """Hall commutators of every weight 1..n, indexed by weight.  Only
+    nonempty layers are paired, so for d = 1 every layer past the first is
+    empty at once."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     tau = check_weights(tau) if tau is not None else (1,) * d
@@ -70,12 +72,12 @@ def hall_layers(d: int, n: int, tau=None) -> list[list[HallElement]]:
         raise ValueError(f"expected {d} weights, got {len(tau)}")
     layers: list[list[HallElement]] = [[]]
     layers.append(sorted((_leaf(i, tau) for i in range(1, d + 1)), key=lambda c: c.key))
+    nonempty = [1]
     for w in range(2, n + 1):
         new = []
-        for w1 in range(1, w):
-            w2 = w - w1
+        for w1 in nonempty:
             for c1 in layers[w1]:
-                for c2 in layers[w2]:
+                for c2 in layers[w - w1]:
                     if c1.key <= c2.key:
                         continue
                     if not c1.is_leaf and c1.right.key > c2.key:
@@ -83,17 +85,26 @@ def hall_layers(d: int, n: int, tau=None) -> list[list[HallElement]]:
                     new.append(_bracket(c1, c2))
         new.sort(key=lambda c: c.key)
         layers.append(new)
+        if new:
+            nonempty.append(w)
     return layers
 
 
-def hall_basis_by_tau_degree(d: int, tdeg: int, tau) -> list[HallElement]:
-    """Hall commutators of weighted degree tdeg (weights >= 1 bound the
-    bracket weight by tdeg)."""
+def _hall_up_to(d: int, tdeg: int, tau) -> list[HallElement]:
+    """The Hall commutators that can have weighted degree <= tdeg, in key
+    order: a commutator of weight w has weighted degree >= w * min(tau),
+    so the layers stop at weight tdeg // min(tau).  Each layer is sorted
+    and the key begins with the weight, so the layers run in key order."""
+    if tdeg < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     tau = check_weights(tau)
-    layers = hall_layers(d, tdeg, tau)
-    out = [c for layer in layers for c in layer if c.tau_degree == tdeg]
-    out.sort(key=lambda c: c.key)
-    return out
+    layers = hall_layers(d, max(1, tdeg // min(tau)), tau)
+    return [c for layer in layers for c in layer]
+
+
+def hall_basis_by_tau_degree(d: int, tdeg: int, tau) -> list[HallElement]:
+    """Hall commutators of weighted degree tdeg, sorted."""
+    return [c for c in _hall_up_to(d, tdeg, tau) if c.tau_degree == tdeg]
 
 
 class RestrictedBasisElement(Frozen):
@@ -129,18 +140,14 @@ def restricted_basis(d: int, n: int, p: int, tau=None) -> list[RestrictedBasisEl
         raise ValueError("need d >= 1 and n >= 1")
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    if tau is None:
-        tau = (1,) * d
+    commutators = _hall_up_to(d, n, tau if tau is not None else (1,) * d)
     out = []
-    q = 1
-    j = 0
+    q, j = 1, 0
     while q <= n:
         if n % q == 0:
-            for c in hall_basis_by_tau_degree(d, n // q, tau):
-                out.append(RestrictedBasisElement(c, j))
+            out.extend(RestrictedBasisElement(c, j) for c in commutators if c.tau_degree == n // q)
         q *= p
         j += 1
-    out.sort(key=lambda e: e.key)
     return out
 
 

@@ -291,7 +291,11 @@ def _expansion(w: GroupWord, ctx: Context, cutoff: int) -> MagnusExpansion:
 def leading_expansions(words, ctx: Context, cutoff: int) -> list:
     """The words' expansions at the first c = 2, 4, 8, ... (capped at the
     cutoff) where one shows a term: exact to c, so the least valuation and its
-    components are those at the cutoff, for about twice the last read's cost."""
+    components are those at the cutoff.  For a least valuation z the last read
+    can be at up to 2z - 1, and expansion cost grows steeply with the cutoff,
+    so that read can cost orders of magnitude more than one at z: a nested
+    commutator of valuation 9 over three letters, p = 7, is read at 16 in
+    about 8 s, where a read at 9 takes under 5 ms."""
     c = min(2, cutoff)
     while (exps := [expand(w, ctx, c) for w in words]) and c < cutoff \
             and all(e.valuation is None for e in exps):

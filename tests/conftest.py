@@ -2,8 +2,11 @@ import importlib.util
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import mildkit.magnus
 from mildkit import Context, Monomial
+from mildkit.magnus import Commutator, Gen, GroupWord, Presentation, Sub
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,3 +78,75 @@ def random_poly(rng: random.Random, ctx: Context, max_terms=4, max_len=5):
     for _ in range(rng.randint(0, max_terms)):
         items.append((random_monomial(rng, ctx, max_len), rng.randint(1, ctx.p - 1)))
     return ctx.poly(items)
+
+
+# -- the properties' examples, built from one integer seed ------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class Seeded(random.Random):
+    """The properties' examples, built from one integer seed: words, a
+    context with two words and a cutoff, or a presentation.  A property
+    takes any further draw (a permutation, a generator, weights) from the
+    same seed, and notes the text of what it built, since Hypothesis cannot
+    shrink a seed."""
+
+    def weights(self, d: int) -> tuple[int, ...]:
+        """Unit weights, or as often d weights from 1-3."""
+        return (1,) * d if self.random() < 0.5 else tuple(self.randint(1, 3) for _ in range(d))
+
+    def word(self, p: int, d: int, weight: int = 1, exponents=(-3, -2, -1, 1, 2, 3), inner: int = 2) -> GroupWord:
+        """A product of one to three atoms, each of valuation >= weight
+        (at most 8): generator powers, and commutators and parenthesized
+        subwords nested 3 deep, with one to `inner` atoms on each level
+        below the top.  A generator of weight 1 and every commutator and
+        subword take an exponent from `exponents`; a generator of weight p
+        is raised to the power +-p.  The two sides of a commutator begin
+        with different letters where d > 1, so that [x, x^k] does not make
+        most commutators of small words trivial."""
+
+        def product(weight, factors, depth, letter=None):
+            count = self.randint(1, factors)
+            return GroupWord(tuple(atom(weight, depth, letter if k == 0 else None) for k in range(count)))
+
+        def atom(weight, depth, letter):
+            # weight <= 2^depth holds on every level: a commutator splits the
+            # weight between two sides of room 2^(depth - 1), and a subword
+            # keeps it only where it fits that room.  With single-atom sides
+            # (inner = 1) only an atom of weight >= 2 is a commutator, so a
+            # word's valuation stays near its weight.
+            half = 2**depth // 2
+            bracket = depth > 0 and (weight > 1 or inner > 1)
+            kind = self.choice(["gen"] * (weight in (1, p)) + ["commutator"] * bracket + ["sub"] * (weight <= half))
+            if kind == "gen":
+                return Gen(letter or self.randint(1, d), self.choice(exponents if weight == 1 else (-p, p)))
+            if kind == "sub":
+                return Sub(product(weight, inner, depth - 1, letter), self.choice(exponents))
+            left = self.randint(max(1, weight - half), max(1, min(weight - 1, half)))
+            right = max(1, weight - left)
+            i, j = self.sample(range(1, d + 1), 2) if d > 1 else (1, 1)
+            return Commutator(product(left, inner, depth - 1, i), product(right, inner, depth - 1, j),
+                              self.choice(exponents))
+
+        return product(weight, 3, 3)
+
+    def case(self):
+        """A context with p in {2, 3, 5}, d <= 4 and unit or mixed weights,
+        a cutoff 1-6 and two words over the context, each of a weight at
+        most the cutoff."""
+        p, d = self.choice((2, 3, 5)), self.randint(1, 4)
+        ctx, c = Context(p, d, self.weights(d)), self.randint(1, 6)
+        u, v = (self.word(p, d, self.randint(1, c)) for _ in "uv")
+        return ctx, u, v, c
+
+    def presentation(self) -> Presentation:
+        """p in {2, 3, 5}, 2 <= d <= 4 and one or two relators of one weight
+        2-6.  Exponents other than p are +-1 and a commutator's sides are
+        single atoms, which keeps the expansions to cutoff 8 small; over the
+        seeds 0-299, z(G) is 2-7, and 4 presentations have no term up to
+        degree 8."""
+        p, d, weight = self.choice((2, 3, 5)), self.randint(2, 4), self.randint(2, 6)
+        relators = tuple((f"r{k}", self.word(p, d, weight, (-1, 1), inner=1))
+                         for k in range(1, self.randint(1, 2) + 1))
+        return Presentation(p, tuple(f"x{i}" for i in range(1, d + 1)), (1,) * d, relators)

@@ -1,16 +1,39 @@
 """Reference oracle for the Magnus expansion: the Poly-based expander.
 
-Every factor is expanded as a Poly and multiplied with `mul_truncated`;
-negative exponents go through the truncated series inverse, the geometric
-sum in -h of s = 1 + h.  This is the definition with no word coding and
-no degree buckets, so it serves as an independent check of
-`magnus.expand` at modest cutoffs.
+Every factor is expanded as a Poly and multiplied term by term with
+`_mul`, which drops the terms past the cutoff; negative exponents go
+through the truncated series inverse, the geometric sum in -h of
+s = 1 + h.  This is the definition with no word coding and no degree
+buckets, so it serves as an independent check of `magnus.expand` at
+modest cutoffs.
 """
 
 from __future__ import annotations
 
-from mildkit.algebra import Context, Poly, mul_truncated
+from mildkit.algebra import Context, Poly
 from mildkit.magnus import Commutator, Gen, GroupWord
+
+
+def _mul(a: Poly, b: Poly, cutoff: int) -> Poly:
+    """a * b with all terms of weighted degree > cutoff dropped.  b's terms
+    run in increasing degree, so each of a's terms stops at its room
+    instead of visiting every pair (`algebra.mul_truncated` visits them
+    all, which made the reference 2-3 times slower on deep words)."""
+    p = a.ctx.p
+    b_terms = sorted(b.terms.items(), key=lambda t: t[0].tau_degree)
+    terms: dict = {}
+    for ma, ca in a.terms.items():
+        room = cutoff - ma.tau_degree
+        for mb, cb in b_terms:
+            if mb.tau_degree > room:
+                break
+            m = ma * mb
+            v = (terms.get(m, 0) + ca * cb) % p
+            if v:
+                terms[m] = v
+            else:
+                terms.pop(m, None)
+    return Poly(a.ctx, terms)
 
 
 def _series_inverse(s: Poly, cutoff: int) -> Poly:
@@ -20,7 +43,7 @@ def _series_inverse(s: Poly, cutoff: int) -> Poly:
     acc = ctx.one()
     term = ctx.one()
     for _ in range(cutoff):
-        term = mul_truncated(term, h, cutoff)
+        term = _mul(term, h, cutoff)
         if term.is_zero:
             break
         acc = acc - term if _ % 2 == 0 else acc + term
@@ -35,10 +58,10 @@ def _series_power(s: Poly, e: int, cutoff: int) -> Poly:
     base = s
     while e:
         if e & 1:
-            acc = mul_truncated(acc, base, cutoff)
+            acc = _mul(acc, base, cutoff)
         e >>= 1
         if e:
-            base = mul_truncated(base, base, cutoff)
+            base = _mul(base, base, cutoff)
     return acc
 
 
@@ -51,7 +74,7 @@ def _expand_atom(atom, ctx: Context, cutoff: int) -> Poly:
         b = _expand_word(atom.right, ctx, cutoff)
         ai = _series_inverse(a, cutoff)
         bi = _series_inverse(b, cutoff)
-        comm = mul_truncated(mul_truncated(ai, bi, cutoff), mul_truncated(a, b, cutoff), cutoff)
+        comm = _mul(_mul(ai, bi, cutoff), _mul(a, b, cutoff), cutoff)
         return _series_power(comm, atom.exponent, cutoff)
     sub = _expand_word(atom.word, ctx, cutoff)
     return _series_power(sub, atom.exponent, cutoff)
@@ -60,7 +83,7 @@ def _expand_atom(atom, ctx: Context, cutoff: int) -> Poly:
 def _expand_word(w: GroupWord, ctx: Context, cutoff: int) -> Poly:
     acc = ctx.one()
     for atom in w.factors:
-        acc = mul_truncated(acc, _expand_atom(atom, ctx, cutoff), cutoff)
+        acc = _mul(acc, _expand_atom(atom, ctx, cutoff), cutoff)
     return acc
 
 

@@ -2,12 +2,15 @@
 and the homomorphism properties of the expansion."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings
 
-from conftest import ROOT, load_workloads
+from conftest import ROOT, SEEDS, Seeded, load_workloads
 from mildkit import Context
 from mildkit.algebra import INFINITY, mul_truncated
-from mildkit.magnus import Commutator, Gen, GroupWord, Sub, expand, load_presentation, parse_presentation_text
+from mildkit.magnus import (
+    Commutator, Gen, GroupWord, Sub, expand, load_presentation, parse_presentation_text, word_to_text,
+)
+from mildkit.massey import zassenhaus_invariant
 from reference_magnus import reference_expand
 
 # the six corpus files and the benchmark's sweep presentations of seed 1
@@ -40,60 +43,69 @@ def test_expansion_matches_reference(P, unit):
 # -- homomorphism properties ---------------------------------------------------
 
 
-def _words(d, depth):
-    """Products of one to three atoms (two inside a bracket): generator
-    powers and, down to the depth, commutators and parenthesized subwords
-    with small exponents."""
-    atom = st.builds(Gen, st.integers(1, d), st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    if depth:
-        inner = _words(d, depth - 1)
-        exponent = st.sampled_from([-2, -1, 1, 2])
-        atom = st.one_of(atom, st.builds(Commutator, inner, inner, exponent),
-                         st.builds(Sub, inner, exponent))
-    return st.lists(atom, min_size=1, max_size=3 if depth == 3 else 2).map(
-        lambda atoms: GroupWord(tuple(atoms)))
+def _case(seed):
+    """The generator's context, two words and cutoff for the seed, noted."""
+    ctx, u, v, c = case = Seeded(seed).case()
+    note(f"p = {ctx.p}, tau = {ctx.tau}, cutoff = {c}\nu = {word_to_text(u)}\nv = {word_to_text(v)}")
+    return case
 
 
-@st.composite
-def cases(draw):
-    """A context with p in {2, 3, 5}, d <= 4 and unit or mixed weights, two
-    words of depth <= 3 over it and a cutoff."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    d = draw(st.integers(1, 4))
-    tau = draw(st.one_of(st.just((1,) * d), st.tuples(*[st.integers(1, 3)] * d)))
-    words = _words(d, 3)
-    return Context(p, d, tau), draw(words), draw(words), draw(st.integers(1, 6))
+def _atoms(w):
+    """Every atom of the word, inside commutators and subwords too."""
+    for a in w.factors:
+        yield a
+        if isinstance(a, Commutator):
+            yield from _atoms(a.left)
+            yield from _atoms(a.right)
+        elif isinstance(a, Sub):
+            yield from _atoms(a.word)
+
+
+def test_the_seeds_reach_every_prime_rank_and_degree():
+    # a seed does not shrink, so the generator alone must cover the ranges
+    cases = [Seeded(seed).case() for seed in range(40)]
+    assert {ctx.p for ctx, *_ in cases} == {2, 3, 5}
+    assert {ctx.d for ctx, *_ in cases} == {1, 2, 3, 4}
+    assert {t for ctx, *_ in cases for t in ctx.tau} == {1, 2, 3}
+    assert {c for *_, c in cases} == set(range(1, 7))
+    for kind in (Gen, Commutator, Sub):
+        exponents = {a.exponent for _, u, v, _ in cases for w in (u, v) for a in _atoms(w) if isinstance(a, kind)}
+        assert exponents >= {-3, -2, -1, 1, 2, 3}
+    presentations = [Seeded(seed).presentation() for seed in range(40)]
+    assert {P.p for P in presentations} == {2, 3, 5}
+    assert {P.d for P in presentations} == {2, 3, 4}
+    assert {zassenhaus_invariant(P, 8) for P in presentations} >= set(range(2, 7))
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @PROPERTY
-@given(cases())
-def test_expansion_matches_reference_on_random_words(case):
+@given(SEEDS)
+def test_expansion_matches_reference_on_random_words(seed):
     # the corpus has no parenthesized or commutator powers beyond +-1; these do
-    ctx, u, _, c = case
+    ctx, u, _, c = _case(seed)
     assert expand(u, ctx, c).poly == reference_expand(u, ctx, c)
 
 
 @PROPERTY
-@given(cases())
-def test_expansion_is_multiplicative(case):
-    ctx, u, v, c = case
+@given(SEEDS)
+def test_expansion_is_multiplicative(seed):
+    ctx, u, v, c = _case(seed)
     assert expand(u * v, ctx, c).poly == mul_truncated(expand(u, ctx, c).poly, expand(v, ctx, c).poly, c)
 
 
 @PROPERTY
-@given(cases())
-def test_word_times_inverse_expands_to_one(case):
-    ctx, u, _, c = case
+@given(SEEDS)
+def test_word_times_inverse_expands_to_one(seed):
+    ctx, u, _, c = _case(seed)
     assert expand(u * u.inverse(), ctx, c).poly == ctx.one()
 
 
 @PROPERTY
-@given(cases())
-def test_commutator_inverse_is_the_swapped_commutator(case):
-    ctx, a, b, c = case
+@given(SEEDS)
+def test_commutator_inverse_is_the_swapped_commutator(seed):
+    ctx, a, b, c = _case(seed)
     inverse = expand(GroupWord((Commutator(a, b, -1),)), ctx, c).poly
     swapped = expand(GroupWord((Commutator(b, a),)), ctx, c).poly
     assert inverse == swapped
@@ -101,9 +113,9 @@ def test_commutator_inverse_is_the_swapped_commutator(case):
 
 
 @PROPERTY
-@given(cases())
-def test_component_and_valuation_read_the_full_expansion(case):
-    ctx, u, _, c = case
+@given(SEEDS)
+def test_component_and_valuation_read_the_full_expansion(seed):
+    ctx, u, _, c = _case(seed)
     e = expand(u, ctx, c)
     poly = e.poly
     for n in range(c + 1):

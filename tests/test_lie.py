@@ -2,16 +2,19 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from mildkit import Context
 from mildkit.lie import (
+    HallElement,
     NotInRestrictedLieError,
     expand_to_assoc,
     hall_basis,
     hall_basis_by_tau_degree,
+    hall_layers,
     hall_to_group_word,
     lie_membership,
     p_power_commutator_split,
@@ -119,6 +122,37 @@ def test_restricted_sizes_match_layer_sums():
                         expected += witt_number(d, n // q)
                     q *= p
                 assert len(restricted_basis(d, n, p)) == expected
+
+
+def _every_hall_commutator(d, n, tau):
+    """Every Hall commutator of weight 1..n, sorted: each layer pairs every
+    two lower layers, empty or not."""
+    layers = [[], [HallElement(i, None, None, 1, tau[i - 1]) for i in range(1, d + 1)]]
+    for w in range(2, n + 1):
+        layers.append([
+            HallElement(None, c1, c2, w, c1.tau_degree + c2.tau_degree)
+            for w1 in range(1, w) for c1 in layers[w1] for c2 in layers[w - w1]
+            if c1.key > c2.key and (c1.is_leaf or c1.right.key <= c2.key)
+        ])
+    return sorted((c for layer in layers for c in layer), key=lambda c: c.key)
+
+
+def test_hall_listings_match_the_enumeration_of_every_weight():
+    for d in (1, 2, 3):
+        for tau in itertools.product((1, 2, 3), repeat=d):
+            every = [(c.key, c.tau_degree) for c in _every_hall_commutator(d, 8, tau)]
+            for n in range(1, 9):
+                listed = hall_basis_by_tau_degree(d, n, tau)
+                assert [(c.key, c.tau_degree) for c in listed] == [c for c in every if c[1] == n]
+                for p in (q for q in (2, 3) if n % q == 0):  # otherwise no p-th powers
+                    listed = restricted_basis(d, n, p, tau)
+                    expected = [(j, c) for j in range(4) if n % p**j == 0 for c in every if c[1] * p**j == n]
+                    assert [(e.p_exp, (e.base.key, e.base.tau_degree)) for e in listed] == expected
+    # one letter has no brackets, so the layers past the first are empty at once
+    start = time.perf_counter()
+    layers = hall_layers(1, 20000)
+    assert time.perf_counter() - start < 1
+    assert len(layers) == 20001 and len(layers[1]) == 1 and not any(layers[2:])
 
 
 # -- expansion into the free algebra --------------------------------------------

@@ -5,10 +5,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, note, settings
 
-from conftest import count_expansions, load_worker
-from mildkit.cli import main as cli_main
+from conftest import SEEDS, Seeded, count_expansions, load_worker
+from mildkit.cli import DEFAULT_BUDGET, main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
 from mildkit.algebra import Context
 from mildkit.freeness import (
@@ -759,28 +759,12 @@ def test_a_sweep_pass_expands_nothing_past_cutoff_4(monkeypatch):
 # -- search and direct check agree ---------------------------------------------------
 
 
-@st.composite
-def presentations(draw):
-    """p in {2, 3, 5}, 2 <= d <= 4, one or two relators, each a product of
-    p-th powers of generators and commutators nested up to depth 3."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    d = draw(st.integers(2, 4))
-    gen = st.integers(1, d).map(lambda i: f"x{i}")
-
-    def bracket(inner):
-        return st.tuples(inner, inner).map(lambda ab: f"[{ab[0]}, {ab[1]}]")
-
-    comm = bracket(st.recursive(gen, bracket, max_leaves=2))
-    power = gen.map(lambda x: f"{x}^{p}")
-    relator = st.lists(st.one_of(power, comm), min_size=1, max_size=3).map(" ".join)
-    relators = draw(st.lists(relator, min_size=1, max_size=2))
-    return pres(p, d, relators)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations())
-def test_search_certificate_matches_direct_check(P):
+@given(SEEDS)
+def test_search_certificate_matches_direct_check(seed):
+    P = Seeded(seed).presentation()
+    note(P.to_text())
     assume(zassenhaus_invariant(P, 8) is not None)
     verdict = search_mild(P)
     if verdict.is_mild:
@@ -788,6 +772,29 @@ def test_search_certificate_matches_direct_check(P):
         assert direct.is_mild
         assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
 
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS)
+def test_a_mild_verdict_never_meets_a_refuted_oracle(seed):
+    # G is mild exactly when the initial forms of its relators are strongly
+    # free (Labute), so the oracle cannot refute the forms of a mild verdict
+    P = Seeded(seed).presentation()
+    note(P.to_text())
+    assume(zassenhaus_invariant(P, 8) is not None)
+    verdict = search_mild(P)
+    assume(verdict.is_mild)
+    ctx = P.context()
+    forms = [initial_form(w, ctx, 8) for w in P.relator_words()]
+    z = verdict.certificate.n
+    for N in range(z + 2, z - 1, -1):  # the highest degree <= z + 2 within the CLI's budget
+        try:
+            oracle = strongly_free_oracle(ctx, forms, N, budget=DEFAULT_BUDGET)
+            break
+        except BudgetError:
+            continue
+    note(f"oracle to degree {N}")
+    assert oracle.status == CONSISTENT
 
 
 def test_search_through_a_supplied_basis_change_matches_direct_check():
@@ -822,8 +829,11 @@ def test_witness_does_not_depend_on_how_the_relator_is_written():
 
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations(), st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(1, 8))
-def test_probes_read_the_valuation_and_component_of_the_full_cutoff(P, weights, cutoff):
+@given(SEEDS)
+def test_probes_read_the_valuation_and_component_of_the_full_cutoff(seed):
+    rng = Seeded(seed)
+    P, weights, cutoff = rng.presentation(), rng.weights(4), rng.randint(1, 8)
+    note(f"{P.to_text()}weights {weights[: P.d]}, cutoff {cutoff}")
     ctx = P.context(weights[: P.d])
     for w in P.relator_words():
         probed, full = leading_expansions([w], ctx, cutoff)[0], expand(w, ctx, cutoff)
@@ -845,8 +855,10 @@ def test_probes_read_the_valuation_and_component_of_the_full_cutoff(P, weights, 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations())
-def test_verdicts_leave_the_shared_expansions_unchanged(P):
+@given(SEEDS)
+def test_verdicts_leave_the_shared_expansions_unchanged(seed):
+    P = Seeded(seed).presentation()
+    note(P.to_text())
     assume(zassenhaus_invariant(P, 8) is not None)
     ctx = P.context()
     shared = [expand(w, ctx, 8) for w in P.relator_words()]
@@ -910,48 +922,60 @@ def _rewritten(P, rewrite):
 
 @settings(max_examples=50, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations())
-def test_verdicts_invariant_under_the_opposite_commutator_convention(P):
+@given(SEEDS)
+def test_verdicts_invariant_under_the_opposite_commutator_convention(seed):
+    P = Seeded(seed).presentation()
+    note(P.to_text())
     assume(zassenhaus_invariant(P, 8) is not None)
     assert _statuses(_rewritten(P, _opposite_convention)) == _statuses(P)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations(), st.data())
-def test_verdicts_invariant_under_letter_permutations_property(P, data):
+@given(SEEDS)
+def test_verdicts_invariant_under_letter_permutations_property(seed):
+    rng = Seeded(seed)
+    P = rng.presentation()
+    perm = rng.sample(range(1, P.d + 1), P.d)
+    note(f"{P.to_text()}permutation {perm}")
     assume(zassenhaus_invariant(P, 8) is not None)
-    perm = data.draw(st.permutations(range(1, P.d + 1)))
     images = [GroupWord((Gen(i),)) for i in perm]
     assert _statuses(_rewritten(P, lambda w: substitute(w, images))) == _statuses(P)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations())
-def test_verdicts_invariant_under_relator_inversion(P):
+@given(SEEDS)
+def test_verdicts_invariant_under_relator_inversion(seed):
+    P = Seeded(seed).presentation()
+    note(P.to_text())
     assume(zassenhaus_invariant(P, 8) is not None)
     assert _statuses(_rewritten(P, GroupWord.inverse)) == _statuses(P)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations(), st.data())
-def test_verdicts_invariant_under_conjugation_by_a_generator_power(P, data):
+@given(SEEDS)
+def test_verdicts_invariant_under_conjugation_by_a_generator_power(seed):
     # g^-k w g^k: the expansion changes past degree z(G), the initial forms do not
+    rng = Seeded(seed)
+    P = rng.presentation()
+    g, k = rng.randint(1, P.d), rng.choice((1, -1, 2, -2))
+    note(f"{P.to_text()}conjugation by x{g}^{k}")
     assume(zassenhaus_invariant(P, 8) is not None)
-    g = data.draw(st.integers(1, P.d))
-    k = data.draw(st.sampled_from([1, -1, 2, -2]))
     power = GroupWord((Gen(g, k),))
     assert _statuses(_rewritten(P, lambda w: power.inverse() * w * power)) == _statuses(P)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(presentations(), st.data())
-def test_verdicts_invariant_under_inverting_a_generator(P, data):
+@given(SEEDS)
+def test_verdicts_invariant_under_inverting_a_generator(seed):
     # x_i -> x_i^-1 acts on the graded pieces as X_i -> -X_i, a diagonal basis change
+    rng = Seeded(seed)
+    P = rng.presentation()
+    i = rng.randint(1, P.d)
+    note(f"{P.to_text()}inverting x{i}")
     assume(zassenhaus_invariant(P, 8) is not None)
-    i = data.draw(st.integers(1, P.d))
     images = [GroupWord((Gen(j, -1 if j == i else 1),)) for j in range(1, P.d + 1)]
     assert _statuses(_rewritten(P, lambda w: substitute(w, images))) == _statuses(P)
