@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, note, settings
 
 from conftest import ROOT, SEEDS, Seeded, load_workloads
-from mildkit import Context
 from mildkit.algebra import INFINITY, mul_truncated
 from mildkit.magnus import (
     Commutator, Gen, GroupWord, Sub, expand, load_presentation, parse_presentation_text, word_to_text,
