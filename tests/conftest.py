@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import mildkit.magnus
 from mildkit import Context, Monomial
 from mildkit.magnus import Commutator, Gen, GroupWord, Presentation, Sub
+from mildkit.massey import zassenhaus_invariant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,9 +97,12 @@ class Seeded(random.Random):
         """Unit weights, or as often d weights from 1-3."""
         return (1,) * d if self.random() < 0.5 else tuple(self.randint(1, 3) for _ in range(d))
 
-    def word(self, p: int, d: int, weight: int = 1, exponents=(-3, -2, -1, 1, 2, 3), inner: int = 2) -> GroupWord:
-        """A product of one to three atoms, each of valuation >= weight
-        (at most 8): generator powers, and commutators and parenthesized
+    def word(self, p: int, d: int, weight: int = 1, exponents=(-3, -2, -1, 1, 2, 3), inner: int = 2,
+             heaviest: int = 0) -> GroupWord:
+        """A product of one to three atoms, the first of weight `weight` and
+        the others of weights from `weight` to `heaviest` (at most 8; by
+        default all of `weight`), each of valuation >= its weight:
+        generator powers, and commutators and parenthesized
         subwords nested 3 deep, with one to `inner` atoms on each level
         below the top.  A generator of weight 1 and every commutator and
         subword take an exponent from `exponents`; a generator of weight p
@@ -129,7 +133,9 @@ class Seeded(random.Random):
             return Commutator(product(left, inner, depth - 1, i), product(right, inner, depth - 1, j),
                               self.choice(exponents))
 
-        return product(weight, 3, 3)
+        count = self.randint(1, 3)
+        weights = [weight] + [self.randint(weight, heaviest) if heaviest > weight else weight for _ in range(count - 1)]
+        return GroupWord(tuple(atom(w, 3, None) for w in weights))
 
     def case(self):
         """A context with p in {2, 3, 5}, d <= 4 and unit or mixed weights,
@@ -141,12 +147,20 @@ class Seeded(random.Random):
         return ctx, u, v, c
 
     def presentation(self) -> Presentation:
-        """p in {2, 3, 5}, 2 <= d <= 4 and one or two relators of one weight
-        2-6.  Exponents other than p are +-1 and a commutator's sides are
-        single atoms, which keeps the expansions to cutoff 8 small; over the
-        seeds 0-299, z(G) is 2-7, and 4 presentations have no term up to
-        degree 8."""
-        p, d, weight = self.choice((2, 3, 5)), self.randint(2, 4), self.randint(2, 6)
-        relators = tuple((f"r{k}", self.word(p, d, weight, (-1, 1), inner=1))
-                         for k in range(1, self.randint(1, 2) + 1))
-        return Presentation(p, tuple(f"x{i}" for i in range(1, d + 1)), (1,) * d, relators)
+        """p in {2, 3, 5}, 2 <= d <= 4 and one or two relators, each of its
+        own weight 2-6 with atoms of weights up to 6, so that relators of
+        different valuations meet, and a relator may put a p-th power next
+        to a commutator.  Exponents other than p are +-1 and a commutator's
+        sides are single atoms, which keeps the expansions to cutoff 8
+        small.  A presentation with z(G) 7 or 8, which the cancellation of
+        every relator past its weight makes, is drawn again: verdicts there
+        cost seconds.  Some presentations have no term up to degree 8."""
+        p, d = self.choice((2, 3, 5)), self.randint(2, 4)
+        names = tuple(f"x{i}" for i in range(1, d + 1))
+        while True:
+            relators = tuple((f"r{k}", self.word(p, d, self.randint(2, 6), (-1, 1), inner=1, heaviest=6))
+                             for k in range(1, self.randint(1, 2) + 1))
+            P = Presentation(p, names, (1,) * d, relators)
+            z = zassenhaus_invariant(P, 8)
+            if z is None or z <= 6:
+                return P

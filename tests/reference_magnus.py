@@ -10,29 +10,27 @@ modest cutoffs.
 
 from __future__ import annotations
 
-from mildkit.algebra import Context, Poly
+from mildkit.algebra import Context, Monomial, Poly
 from mildkit.magnus import Commutator, Gen, GroupWord
 
 
 def _mul(a: Poly, b: Poly, cutoff: int) -> Poly:
     """a * b with all terms of weighted degree > cutoff dropped.  b's terms
     run in increasing degree, so each of a's terms stops at its room
-    instead of visiting every pair, as `algebra.mul_truncated` does."""
+    instead of visiting every pair, as `algebra.mul_truncated` does; the
+    products are summed under (letters, degree) keys and made monomials
+    once."""
     p = a.ctx.p
-    b_terms = sorted(b.terms.items(), key=lambda t: t[0].tau_degree)
-    terms: dict = {}
+    b_terms = sorted(((m.letters, m.tau_degree, c) for m, c in b.terms.items()), key=lambda t: t[1])
+    sums: dict = {}
     for ma, ca in a.terms.items():
         room = cutoff - ma.tau_degree
-        for mb, cb in b_terms:
-            if mb.tau_degree > room:
+        for letters, degree, cb in b_terms:
+            if degree > room:
                 break
-            m = ma * mb
-            v = (terms.get(m, 0) + ca * cb) % p
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-    return Poly(a.ctx, terms)
+            key = (ma.letters + letters, ma.tau_degree + degree)
+            sums[key] = sums.get(key, 0) + ca * cb
+    return Poly(a.ctx, {Monomial(*key): c % p for key, c in sums.items() if c % p})
 
 
 def _series_inverse(s: Poly, cutoff: int) -> Poly:

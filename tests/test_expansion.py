@@ -74,6 +74,18 @@ def test_the_seeds_reach_every_prime_rank_and_degree():
     assert {P.p for P in presentations} == {2, 3, 5}
     assert {P.d for P in presentations} == {2, 3, 4}
     assert {zassenhaus_invariant(P, 8) for P in presentations} >= set(range(2, 7))
+    # relators of different valuations often meet in one presentation, so
+    # that z(G) is a minimum over relators, and a relator's top-level atoms
+    # often differ in valuation, a p-th power next to another valuation among them
+    def valuation(P, w):
+        return expand(w, P.context(), 8).valuation
+
+    assert sum(len({valuation(P, w) for w in P.relator_words()}) > 1 for P in presentations) >= 10
+    relators = [(P, w, [valuation(P, GroupWord((a,))) for a in w.factors])
+                for P in presentations for w in P.relator_words()]
+    assert sum(len(set(vs)) > 1 for *_, vs in relators) >= 15
+    assert any(isinstance(a, Gen) and abs(a.exponent) == P.p and P.p in vs and len(set(vs)) > 1
+               for P, w, vs in relators for a in w.factors)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
