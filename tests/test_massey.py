@@ -15,16 +15,20 @@ from mildkit.freeness import (
     ADMISSIBLE, INADMISSIBLE, PROVEN, CONSISTENT, REFUTED, AdmissibilityResult, FreenessCertificate,
     FreenessVerdict, anick_check, strongly_free_oracle,
 )
-from mildkit.lie import hall_basis, hall_to_group_word
+from mildkit.lie import (
+    NotInRestrictedLieError, expand_to_assoc, hall_basis, hall_to_group_word, p_power_commutator_split,
+    restricted_basis,
+)
 from mildkit.magnus import (
     Commutator, GroupWord, Gen, Presentation, Sub, _expansion, expand, initial_form, leading_expansions,
-    make_presentation, substitute,
+    load_presentation, make_presentation, substitute,
 )
 from mildkit.massey import (
     CRITERION_FAILED,
     MILD,
     NOT_APPLICABLE,
     Decomposition,
+    MasseyTensor,
     MildCertificate,
     MildVerdict,
     bn_map,
@@ -45,7 +49,7 @@ from reference_magnus import reference_expand
 
 PRES = Path(__file__).resolve().parent.parent / "presentations"
 
-NAMES = {1: ["x"], 2: ["x1", "x2"], 3: ["x1", "x2", "x3"], 4: ["x1", "x2", "x3", "x4"]}
+NAMES = {1: ["x"], **{d: [f"x{i}" for i in range(1, d + 1)] for d in range(2, 6)}}
 
 
 def pres(p, d, relators, tau=None):
@@ -213,12 +217,19 @@ def test_massey_value_dimension_checks():
 # -- shuffles ---------------------------------------------------------------------
 
 
+# a left-normed commutator of length 8 on five letters: 5^8 = 390,625 tuples
+LENGTH8 = pres(2, 5, ["[[[[[[[x1, x2], x3], x4], x5], x1], x2], x3]"])
+
+
 def test_shuffles_pass_on_real_tensors():
-    for P in (DEMUSKIN_P3, CIRCUIT, TRIPLE):
+    for P in (DEMUSKIN_P3, CIRCUIT, TRIPLE, LENGTH8):
         n = zassenhaus_invariant(P, 8)
         T = massey_tensor(P, n)
         for a in range(1, n):
-            assert check_shuffles(T, a, n - a).ok
+            report = check_shuffles(T, a, n - a)
+            assert report.ok
+            assert report.checked == P.d**n  # every tuple, no sample
+    assert n == 8 and report.checked == 5**8
 
 
 def test_shuffles_z3_cyclic_and_reversal():
@@ -238,24 +249,95 @@ def test_shuffles_detect_corruption():
     assert any(not check_shuffles(bad, a, 3 - a).ok for a in (1, 2))
 
 
-def test_shuffles_sample_when_the_space_is_large():
-    T = massey_tensor(DEMUSKIN_P3, 3)  # 27 tuples
-    report = check_shuffles(T, 1, 2, max_tuples=5, seed=3)
-    assert report.checked == 5
-    assert report.ok
-    # every entry 1 mod 5: each tuple's three (1,2)-shuffles sum to 3
+def dense_shuffle_violations(T, a):
+    """The violations of the (a, n - a)-shuffle identities found by walking
+    all d^n tuples u + v in order, summing the entries at each shuffle of u
+    into v."""
+    out = []
+    for name, vals in zip(T.relator_names, T.values):
+        for index in itertools.product(range(1, T.d + 1), repeat=T.n):
+            total = 0
+            for S in itertools.combinations(range(T.n), a):
+                u, v = iter(index[:a]), iter(index[a:])
+                total += vals.get(tuple(next(u) if k in S else next(v) for k in range(T.n)), 0)
+            if total % T.p:
+                out.append((name, index))
+    return out
+
+
+def test_shuffles_equal_a_dense_enumeration():
+    tensors = [massey_tensor(P) for P in (DEMUSKIN_P3, CIRCUIT, TRIPLE, load_presentation(PRES / "length5_p7.pres"))]
+    # corrupted copies: entries changed, added and dropped at random,
+    # across one and two relators
+    rng = random.Random(0)
+    for T in tensors[:]:
+        for _ in range(10):
+            values = []
+            for vals in T.values + T.values[:1]:
+                vals = dict(vals)
+                for _ in range(rng.randint(1, 3)):
+                    key = tuple(rng.randint(1, T.d) for _ in range(T.n))
+                    vals[key] = rng.randrange(T.p)
+                for key in rng.sample(sorted(vals), min(len(vals), rng.randint(0, 2))):
+                    del vals[key]
+                values.append(vals)
+            tensors.append(MasseyTensor(T.p, T.d, T.n, tuple(f"r{j}" for j in range(len(values))), tuple(values)))
+    # every entry 1 mod 5: each tuple's three shuffles sum to 3, for either split
     ones = {i: 1 for i in itertools.product(range(1, 5), repeat=3)}
-    bad = type(T)(5, 4, 3, ("r",), (ones,))
-    report = check_shuffles(bad, 1, 2, max_tuples=10, seed=3)
-    assert report.checked == 10
-    assert len(report.violations) == 10
-    assert check_shuffles(bad, 1, 2, max_tuples=10, seed=3) == report  # same sample
-    # a sample is drawn without replacement: 63 of the 64 tuples, each once
-    report = check_shuffles(bad, 1, 2, max_tuples=63, seed=3)
-    assert report.checked == 63
-    tuples = [index for _, index in report.violations]
-    assert len(tuples) == len(set(tuples)) == 63
-    assert set(tuples) < set(ones)
+    tensors.append(MasseyTensor(5, 4, 3, ("r",), (ones,)))
+    failing = []
+    for T in tensors:
+        reports = [check_shuffles(T, a, T.n - a) for a in range(1, T.n)]
+        for a, report in enumerate(reports, 1):
+            assert report.checked == T.d**T.n
+            assert report.violations == dense_shuffle_violations(T, a)
+        failing.append(not all(r.ok for r in reports))
+    assert [len(r.violations) for r in reports] == [64, 64]  # the all-ones tensor
+    # the real tensors pass, and most corruptions break an identity, so the
+    # comparison above is not between empty lists
+    assert not any(failing[:4]) and sum(failing) > len(failing) / 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS)
+def test_shuffles_vanish_exactly_on_restricted_lie_forms(seed):
+    # in characteristic p the primitive elements of the free associative
+    # algebra are the free restricted Lie algebra (Friedrichs' criterion in
+    # Jacobson's form), so the shuffle check over every split and the
+    # p-power/commutator split decide the same thing by two engines.  A
+    # product of two restricted Lie elements of degrees >= 2 is not Lie, yet
+    # every word count of its coproduct vanishes: a check that reads only
+    # the S side of each split passes it.
+    rng = Seeded(seed)
+    kind = rng.choice(("restricted", "stray", "random", "product"))
+    p, d, n = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(4 if kind == "product" else 2, 6)
+    ctx = Context(p, d)
+
+    def combination(n):
+        basis = restricted_basis(d, n, p)
+        return sum((rng.randint(1, p - 1) * expand_to_assoc(e, ctx)
+                    for e in rng.sample(basis, min(len(basis), rng.randint(1, 3)))), ctx.zero())
+
+    def monomial():
+        return ctx.poly([(tuple(rng.randint(1, d) for _ in range(n)), rng.randint(1, p - 1))])
+
+    if kind == "product":
+        k = rng.randint(2, n - 2)
+        f = combination(k) * combination(n - k)
+    elif kind == "random":
+        f = sum((monomial() for _ in range(rng.randint(1, 6))), ctx.zero())
+    else:
+        f = combination(n) + (monomial() if kind == "stray" else ctx.zero())
+    note(f"p = {p}, {kind}: {f}")
+    assume(not f.is_zero)
+    T = MasseyTensor(p, d, n, ("r",), ({m.letters: c for m, c in f.terms.items()},))
+    try:
+        p_power_commutator_split(f, n)
+        splits = True
+    except NotInRestrictedLieError:
+        splits = False
+    assert all(check_shuffles(T, a, n - a).ok for a in range(1, n)) == splits
 
 
 def test_shuffles_validate_split():
