@@ -335,21 +335,7 @@ class Poly(Frozen):
 def mul_truncated(a: Poly, b: Poly, cutoff: int) -> Poly:
     """The Poly-level truncated product: a * b with all terms of weighted
     degree > cutoff dropped."""
-    a._check(b)
-    p = a.ctx.p
-    terms: dict[Monomial, int] = {}
-    for ma, ca in a.terms.items():
-        room = cutoff - ma.tau_degree
-        for mb, cb in b.terms.items():
-            if mb.tau_degree > room:
-                continue
-            m = ma * mb
-            v = (terms.get(m, 0) + ca * cb) % p
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-    return Poly(a.ctx, terms)
+    return (a * b).truncate(cutoff)
 
 
 class IntSeries(Frozen):

@@ -1,5 +1,5 @@
 """Hall commutator bases of free (restricted) Lie algebras inside the free
-associative algebra, and the membership/splitting solves built on them.
+associative algebra, and the restricted split that decides membership.
 
 Hall set conventions: the letters are ordered X_1 > X_2 > ... > X_d; a
 bracket [c1, c2] is admitted when c1 > c2 and, if c1 = [c3, c4], also
@@ -189,34 +189,16 @@ class NotInRestrictedLieError(MildkitError):
     its degree, so it cannot be the initial form of a group element."""
 
 
-def _solve_over(ctx: Context, elements, f: Poly, n: int):
-    if f.is_zero or not f.is_homogeneous() or f.tau_valuation() != n:
-        raise ValueError(f"expected a nonzero homogeneous polynomial of degree {n}")
-    columns = []
-    keys: dict = {}
-
-    def vec(poly):
-        out = {}
-        for m, c in poly.terms.items():
-            k = keys.setdefault(m, len(keys))
-            out[k] = c
-        return out
-
-    expansions = [expand_to_assoc(e, ctx) for e in elements]
-    columns = [vec(e) for e in expansions]
-    target = vec(f)
-    coords = solve_combination(ctx.p, columns, target)
-    if coords is None:
-        return None
-    return [(e, c) for e, c in zip(elements, coords) if c]
-
-
 def lie_membership(f: Poly, n: int):
     """Coordinates of f over the weight-graded Hall basis (pure commutators,
-    no p-powers) in degree n, or None when f is not a Lie polynomial."""
-    ctx = f.ctx
-    basis = hall_basis_by_tau_degree(ctx.d, n, ctx.tau)
-    return _solve_over(ctx, basis, f, n)
+    no p-powers) in degree n, or None when f is not a Lie polynomial.  They
+    are read off the restricted split, whose basis contains that Hall basis:
+    f is Lie exactly when its unique split has no p-power part."""
+    try:
+        split = p_power_commutator_split(f, n)
+    except NotInRestrictedLieError:
+        return None
+    return None if split.power_part else [(e.base, c) for e, c in split.lie_part]
 
 
 class PowerCommutatorSplit(Frozen):
@@ -231,18 +213,34 @@ class PowerCommutatorSplit(Frozen):
         return not self.power_part
 
 
+def _letters(c: HallElement) -> list[int]:
+    return [c.letter] if c.is_leaf else _letters(c.left) + _letters(c.right)
+
+
 def p_power_commutator_split(f: Poly, n: int) -> PowerCommutatorSplit:
     """Split f over the restricted Hall basis of its degree; raises
-    NotInRestrictedLieError when f lies outside (nonzero residual)."""
+    NotInRestrictedLieError when f lies outside (nonzero residual).  The
+    algebra is graded by letter content: every word of c's expansion has
+    c's letters, and every word of c^(p^j)'s has them p^j times each.  So
+    only the basis elements with the content of some term of f can have a
+    nonzero coordinate, and only those are expanded."""
+    if f.is_zero or not f.is_homogeneous() or f.tau_valuation() != n:
+        raise ValueError(f"expected a nonzero homogeneous polynomial of degree {n}")
     ctx = f.ctx
-    basis = restricted_basis(ctx.d, n, ctx.p, ctx.tau)
-    coords = _solve_over(ctx, basis, f, n)
+    contents = {tuple(sorted(m.letters)) for m in f.terms}
+    basis = [e for e in restricted_basis(ctx.d, n, ctx.p, ctx.tau)
+             if tuple(sorted(_letters(e.base) * ctx.p**e.p_exp)) in contents]
+    keys: dict = {}
+    columns = [{keys.setdefault(m, len(keys)): c for m, c in expand_to_assoc(e, ctx).terms.items()}
+               for e in basis]
+    target = {keys.setdefault(m, len(keys)): c for m, c in f.terms.items()}
+    coords = solve_combination(ctx.p, columns, target)
     if coords is None:
         raise NotInRestrictedLieError(
             f"polynomial is not in the degree-{n} part of the restricted Lie algebra"
         )
-    power = [(e, c) for e, c in coords if e.p_exp >= 1]
-    lie = [(e, c) for e, c in coords if e.p_exp == 0]
+    power = [(e, c) for e, c in zip(basis, coords) if c and e.p_exp >= 1]
+    lie = [(e, c) for e, c in zip(basis, coords) if c and e.p_exp == 0]
     return PowerCommutatorSplit(power, lie)
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 from .algebra import INFINITY, Context, Frozen, Monomial, Poly, Record
 from .errors import BudgetError, PrecisionError
 from .freeness import FreenessVerdict, anick_check
-from .lie import NotInRestrictedLieError, lie_membership, p_power_commutator_split
+from .lie import p_power_commutator_split
 from .linalg import RowReducer, is_invertible, kernel_basis
 from .magnus import Presentation, leading_expansions
 from .orders import UOrder, high_term
@@ -357,11 +357,11 @@ def subset_decomposition(d: int, subset, e: int) -> Decomposition:
     return Decomposition(len(subset), e, matrix)
 
 
-def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrices=()) -> MildVerdict:
-    """Try the criterion over all coordinate-subset decompositions (and any
-    user-supplied basis changes) and every admissible e; first success
-    wins.  The subset space is 2^d-sized, so a case budget applies to its
-    closed-form count before any case is built."""
+def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096) -> MildVerdict:
+    """Try the criterion over all coordinate-subset decompositions and
+    every admissible e; first success wins.  The subset space is
+    2^d-sized, so a case budget applies to its closed-form count before any
+    case is built."""
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
     T = massey_tensor(P, cutoff=cutoff)
@@ -371,21 +371,17 @@ def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096, matrice
             CRITERION_FAILED,
             f"no decomposition exists for d = {d}, n = {n}",
         )
-    matrices = [tuple(tuple(r) for r in matrix) for matrix in matrices]
-    count = (2**d - 2 + len(matrices) * (d - 1)) * (n - 1)
+    count = (2**d - 2) * (n - 1)
     if count > max_cases:
         raise BudgetError(
             f"{count} decompositions exceed the search budget {max_cases}"
         )
-    subsets = (s for c in range(1, d) for s in itertools.combinations(range(1, d + 1), c))
-    cases = itertools.chain(
-        ((subset_decomposition(d, s, e), f"U = span{s}, e = {e}") for s in subsets for e in range(1, n)),
-        ((Decomposition(c, e, m), "user matrix") for m in matrices for c in range(1, d) for e in range(1, n)),
-    )
-    for D, label in cases:
-        verdict = _decide(T, D)
-        if verdict.is_mild:
-            return verdict.replace(reason=f"found by search: {label}")
+    for c in range(1, d):
+        for s in itertools.combinations(range(1, d + 1), c):
+            for e in range(1, n):
+                verdict = _decide(T, subset_decomposition(d, s, e))
+                if verdict.is_mild:
+                    return verdict.replace(reason=f"found by search: U = span{s}, e = {e}")
     return MildVerdict(
         CRITERION_FAILED,
         f"criterion failed for all {count} searched decompositions",
@@ -413,7 +409,6 @@ class OneRelatorReport(Frozen):
     coprime: bool | None
     memberships: list[MembershipRecord]
     split: object | None
-    split_error: str | None
     bp_matrix: list | None
     bp_kernel: list | None
     notes: str = ""
@@ -428,9 +423,13 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
     """Diagnostics for a one-relator presentation: the invariant z, the
     coprimality route, Lie-polynomial initial forms at the requested weight
     vectors, the p-power/commutator split, and (for z = p) the diagonal map
-    and its kernel.  Mildness claims are one-directional; absence of a
-    route is reported as inconclusive, never as a refutation.  The
-    Demuškin-type route is demuskin(P, cutoff)."""
+    and its kernel.  Each weight vector's initial form is split once over
+    the restricted Hall elements of its letter contents; its membership
+    record is read off that split (Lie exactly when there is no p-power
+    part), and the unit-weight split is the report's `split`.  Mildness
+    claims are one-directional; absence of a route is reported as
+    inconclusive, never as a refutation.  The Demuškin-type route is
+    demuskin(P, cutoff)."""
     _one_relator(P, "one-relator analysis")
     name, w = P.relators[0]
     exps = P.leading_expansions(cutoff)
@@ -440,7 +439,7 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
 
     if z is None:
         return OneRelatorReport(
-            P.p, P.d, name, None, "unknown", [], None, [], None, None, None, None,
+            P.p, P.d, name, None, "unknown", [], None, [], None, None, None,
             notes=f"relator trivial to degree {cutoff}; raise the cutoff",
         )
 
@@ -453,22 +452,17 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
     if P.tau != unweighted:
         taus.append(P.tau)
     taus.extend(tuple(t) for t in extra_taus)
-    memberships = []
+    memberships, splits = [], []
     for tau in taus:
         # not None: a word of length z <= cutoff has weight <= cutoff * max(tau)
         e = leading_expansions([w], P.context(tau), cutoff * max(tau))[0]
         val = e.valuation
-        coords = lie_membership(e.component(val), val)
-        memberships.append(MembershipRecord(tau, val, coords is not None, coords))
-        if coords is not None:
+        # an initial form of a group element is restricted-Lie, so it splits
+        splits.append(split := p_power_commutator_split(e.component(val), val))
+        coords = [(c.base, k) for c, k in split.lie_part] if split.is_lie else None
+        memberships.append(MembershipRecord(tau, val, split.is_lie, coords))
+        if split.is_lie:
             routes.append(f"initial form at tau = {tau} is a Lie polynomial")
-
-    split = None
-    split_error = None
-    try:
-        split = p_power_commutator_split(exps[0].component(z), z)
-    except NotInRestrictedLieError as exc:  # pragma: no cover - defensive
-        split_error = str(exc)
 
     bp_matrix = None
     bp_kernel = None
@@ -488,7 +482,7 @@ def one_relator_verdict(P: Presentation, cutoff: int = 8, extra_taus=()) -> OneR
 
     return OneRelatorReport(
         P.p, P.d, name, z, status, routes, coprime, memberships,
-        split, split_error, bp_matrix, bp_kernel, "; ".join(notes),
+        splits[0], bp_matrix, bp_kernel, "; ".join(notes),
     )
 
 

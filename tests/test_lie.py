@@ -6,7 +6,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, note, settings
 
+from conftest import SEEDS, Seeded
 from mildkit import Context
 from mildkit.lie import (
     HallElement,
@@ -21,8 +23,8 @@ from mildkit.lie import (
     restricted_basis,
     witt_number,
 )
-from mildkit.linalg import RowReducer
-from mildkit.magnus import initial_form
+from mildkit.linalg import RowReducer, solve_combination
+from mildkit.magnus import expand, initial_form
 from reference_slice import enumerate_basis
 
 
@@ -266,6 +268,51 @@ def test_split_rejects_non_lie_element():
     ctx = Context(2, 2)
     with pytest.raises(NotInRestrictedLieError):
         p_power_commutator_split(ctx.poly([((1, 2), 1)]), 2)
+
+
+def full_basis_solve(elements, f):
+    """f's nonzero coordinates over all of the given basis elements, or None."""
+    keys = {}
+
+    def vector(poly):
+        return {keys.setdefault(m, len(keys)): c for m, c in poly.terms.items()}
+
+    columns = [vector(expand_to_assoc(e, f.ctx)) for e in elements]
+    coords = solve_combination(f.ctx.p, columns, vector(f))
+    return None if coords is None else [(e, c) for e, c in zip(elements, coords) if c]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS)
+def test_the_split_over_the_contents_of_f_equals_the_full_basis_solve(seed):
+    # the restricted Lie algebra is graded by letter content, so expanding
+    # only the basis elements with the letters of a term of f loses nothing:
+    # the split and the membership read off it must equal solves over the
+    # whole restricted and Hall bases of the degree, and fail where they fail
+    rng = Seeded(seed)
+    p, d = rng.choice((2, 3, 5)), rng.randint(1, 3)
+    if rng.random() < 0.75:  # an initial form, at unit or mixed weights
+        ctx = Context(p, d, rng.weights(d))
+        # a word of weight w can have weighted valuation up to w * max(tau)
+        e = expand(rng.word(p, d, rng.randint(2, max(2, 6 // max(ctx.tau)))), ctx, 6)
+        assume(e.valuation is not None)
+        n = e.valuation
+        f = e.component(n)
+    else:  # a random homogeneous polynomial
+        ctx, n = Context(p, d), rng.randint(2, 6)
+        f = ctx.poly([(tuple(rng.randint(1, d) for _ in range(n)), rng.randint(1, p - 1))
+                      for _ in range(rng.randint(1, 6))])
+        assume(not f.is_zero)
+    note(f"p = {p}, weights {ctx.tau}, degree {n}: {f}")
+    restricted = full_basis_solve(restricted_basis(d, n, p, ctx.tau), f)
+    hall = full_basis_solve(hall_basis_by_tau_degree(d, n, ctx.tau), f)
+    try:
+        split = p_power_commutator_split(f, n)
+    except NotInRestrictedLieError:
+        split = None
+    assert restricted == (None if split is None else split.lie_part + split.power_part)
+    assert lie_membership(f, n) == hall
 
 
 def test_weighted_hall_enumeration():

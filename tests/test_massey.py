@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from mildkit.freeness import (
     ADMISSIBLE, INADMISSIBLE, PROVEN, CONSISTENT, REFUTED, AdmissibilityResult, FreenessCertificate,
     FreenessVerdict, anick_check, strongly_free_oracle,
 )
+from mildkit import lie, massey
 from mildkit.lie import (
-    NotInRestrictedLieError, expand_to_assoc, hall_basis, hall_to_group_word, p_power_commutator_split,
-    restricted_basis,
+    NotInRestrictedLieError, RestrictedBasisElement, expand_to_assoc, hall_basis, hall_to_group_word,
+    lie_membership, p_power_commutator_split, restricted_basis,
 )
 from mildkit.magnus import (
     Commutator, GroupWord, Gen, Presentation, Sub, _expansion, expand, initial_form, leading_expansions,
@@ -816,6 +818,51 @@ def test_one_relator_expands_once_per_weight_vector(expand_calls):
     assert_probed(expand_calls, 3)
 
 
+def test_one_relator_splits_each_form_once_over_its_contents(monkeypatch):
+    # z = 7 over four letters: the restricted basis of degree 7 has 2,340
+    # elements, of which only those with the letters of a term of the form
+    # are expanded, once per weight vector and by the split alone
+    P = pres(3, 4, ["[[(x1), [x2, x1]^-1], [[x2^-1, x1], [x4, x3^-1]^-1]]"])
+    taus = [(1, 1, 1, 1), (1, 1, 1, 2)]
+    forms = [initial_form(P.relator_words()[0], P.context(tau), 8 * max(tau)) for tau in taus]
+
+    def letters(e):
+        return tuple(sorted([int(k) for k in re.findall(r"\d+", e.base.format())] * 3**e.p_exp))
+
+    bases = [restricted_basis(4, f.tau_valuation(), 3, tau) for f, tau in zip(forms, taus)]
+    expected = [e for f, basis in zip(forms, bases) for e in basis
+                if letters(e) in {tuple(sorted(m.letters)) for m in f.terms}]
+    split, expand_element = lie.p_power_commutator_split, lie.expand_to_assoc
+    splits, expanded = [], []
+
+    def counted_split(f, n):
+        splits.append((f, n, split(f, n)))
+        return splits[-1][2]
+
+    def counted_expand(elem, ctx):
+        if isinstance(elem, RestrictedBasisElement):  # not the subtrees it recurses into
+            expanded.append(elem)
+        return expand_element(elem, ctx)
+
+    def membership(f, n):
+        raise AssertionError("lie_membership ran")
+
+    monkeypatch.setattr(massey, "p_power_commutator_split", counted_split)
+    monkeypatch.setattr(lie, "expand_to_assoc", counted_expand)
+    for module in (lie, massey):
+        monkeypatch.setattr(module, "lie_membership", membership, raising=False)
+    report = one_relator_verdict(P, extra_taus=taus[1:])
+    assert report.z == 7 and report.status == MILD
+    assert [(f, n) for f, n, _ in splits] == [(f, f.tau_valuation()) for f in forms]
+    assert report.split is splits[0][2]
+    assert expanded == expected and 0 < len(expanded) < len(bases[0]) // 10
+    monkeypatch.undo()
+    coordinates = [lie_membership(f, f.tau_valuation()) for f in forms]
+    assert [(m.tau, m.is_lie, m.coordinates) for m in report.memberships] == [
+        (tau, c is not None, c) for tau, c in zip(taus, coordinates)
+    ]
+
+
 def test_demuskin_command_reads_one_tensor(expand_calls, capsys):
     # the type report and the mildness verdict share one probe, whose first
     # key the minimality check computed while loading the presentation
@@ -879,20 +926,17 @@ def test_a_mild_verdict_never_meets_a_refuted_oracle(seed):
     assert oracle.status == CONSISTENT
 
 
-def test_search_through_a_supplied_basis_change_matches_direct_check():
+def test_a_basis_change_is_mild_where_the_subset_search_fails():
     # at p = 2 no coordinate subset decomposes x1^2 x2^2, but the dual basis
     # chi'_1 = chi_1, chi'_2 = chi_1 + chi_2 does
     P = pres(2, 2, ["x1^2 x2^2"])
     M = ((1, 0), (1, 1))
-    assert search_mild(P).status == CRITERION_FAILED
-    verdict = search_mild(P, matrices=[M])
+    searched = search_mild(P)
+    assert searched.status == CRITERION_FAILED
+    assert searched.reason == "criterion failed for all 2 searched decompositions"
+    verdict = check_mild(P, Decomposition(1, 1, M))
     assert verdict.is_mild
-    assert verdict.reason == "found by search: user matrix"
-    D = verdict.certificate.decomposition
-    assert D == Decomposition(1, 1, M)
-    direct = check_mild(P, Decomposition(D.c, D.e, M))
-    assert direct.status == verdict.status
-    assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
+    assert verdict.certificate.decomposition == Decomposition(1, 1, M)
 
 
 def test_witness_does_not_depend_on_how_the_relator_is_written():
