@@ -34,13 +34,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_weights(tau) -> tuple[int, ...]:
-    """Validate a generator weight vector (every entry >= 1)."""
+def check_weights(tau, d=None) -> tuple[int, ...]:
+    """Validate a generator weight vector (every entry >= 1), and its
+    length when the number of generators d is given."""
     tau = tuple(int(t) for t in tau)
     if not tau:
         raise ValueError("weight vector must be nonempty")
     if any(t < 1 for t in tau):
         raise ValueError(f"weights must be positive integers, got {tau}")
+    if d is not None and len(tau) != d:
+        raise ValueError(f"expected {d} weights, got {len(tau)}")
     return tau
 
 
@@ -124,9 +127,7 @@ class Context(Frozen):
             raise ValueError(f"modulus {p} exceeds the supported bound {MAX_MODULUS}")
         if d < 1:
             raise ValueError("need at least one generator")
-        tau = check_weights((1,) * d if tau is None else tau)
-        if len(tau) != d:
-            raise ValueError(f"expected {d} weights, got {len(tau)}")
+        tau = check_weights((1,) * d if tau is None else tau, d)
         _setattr(self, "p", p)
         _setattr(self, "d", d)
         _setattr(self, "tau", tau)

@@ -30,10 +30,11 @@ import time
 from . import freeness, magnus, massey
 from .algebra import series_compare, check_weights, EQUAL_TO_CUTOFF
 from .errors import BudgetError, MildkitError, ParseError, PrecisionError
-from .magnus import expand, initial_form, int_list, load_presentation, split_list, word_to_text
+from .magnus import (expand, generator_index, initial_form, int_list, load_presentation, split_list,
+                     word_to_text)
 # re-exported: the benchmark's tracer wraps mildkit.cli.parse_presentation_text
 from .magnus import parse_presentation_text  # noqa: F401
-from .lie import hall_basis_by_tau_degree, restricted_basis, witt_number
+from .lie import hall_basis, restricted_basis, witt_number
 from .orders import parse_order_spec
 
 DEFAULT_BUDGET = 2_000_000
@@ -65,8 +66,6 @@ class Invocation:
         self.tau = P.tau
         if getattr(args, "tau", None) is not None:
             self.tau = int_list(args.tau, "--tau")
-            if len(self.tau) != P.d:
-                raise ParseError(f"expected {P.d} weights, got {len(self.tau)}")
         self.ctx = P.context(self.tau)
 
     def cutoff(self) -> int:
@@ -267,11 +266,10 @@ def cmd_mild(run):
             raise ParseError("either --search or both --subset and --e are required")
         subset = []
         for token in split_list(args.subset):
-            if token not in P.names:
-                raise ParseError(f"unknown generator {token!r} in --subset")
-            if P.names.index(token) + 1 in subset:
+            i = generator_index(token, P.names, "--subset")
+            if i in subset:
                 raise ParseError(f"duplicate generator {token!r} in --subset")
-            subset.append(P.names.index(token) + 1)
+            subset.append(i)
         verdict = massey.check_mild(P, massey.subset_decomposition(P.d, subset, args.e), cutoff)
     result = verdict.as_dict(P.names)
     result["note"] = "verdict depends only on the relator coefficients up to degree z(G)"
@@ -294,10 +292,8 @@ def cmd_massey(run):
             raise ParseError(f"--tuple needs {n} generator names, got {len(tokens)}")
         vectors = []
         for tok in tokens:
-            if tok not in P.names:
-                raise ParseError(f"unknown generator {tok!r} in --tuple")
-            i = P.names.index(tok)
-            vectors.append([1 if k == i else 0 for k in range(P.d)])
+            i = generator_index(tok, P.names, "--tuple")
+            vectors.append([1 if k == i else 0 for k in range(1, P.d + 1)])
         value = massey.massey_value(T, vectors)
         result["tuple"] = tokens
         result["value"] = {name: v for name, v in zip(T.relator_names, value)}
@@ -321,12 +317,10 @@ def cmd_hall(run):
     args = run.args
     if args.d < 1 or args.n < 1:
         raise ParseError("need d >= 1 and n >= 1")
-    tau = check_weights(int_list(args.weights, "--weights")) if args.weights else (1,) * args.d
-    if len(tau) != args.d:
-        raise ParseError(f"expected {args.d} weights, got {len(tau)}")
-    # price by Witt's formula the Hall layers that the listing builds, of
-    # weight 1..n // min(weights), before building them; d = 1 has no
-    # commutator past its one letter
+    tau = check_weights(int_list(args.weights, "--weights"), args.d) if args.weights else (1,) * args.d
+    # price the listing by Witt's formula before building it: it builds
+    # only Hall commutators of weight 1..n // min(weights), so their count
+    # bounds what it builds; d = 1 has no commutator past its one letter
     top = max(1, args.n // min(tau)) if args.d > 1 else 1
     count = 0
     for w in range(1, top + 1):
@@ -339,7 +333,7 @@ def cmd_hall(run):
         basis = restricted_basis(args.d, args.n, args.p, tau)
         listing = [e.format(p=args.p) for e in basis]
     else:
-        basis = hall_basis_by_tau_degree(args.d, args.n, tau)
+        basis = hall_basis(args.d, args.n, tau)
         listing = [c.format() for c in basis]
     return {"inputs": inputs, "result": {"size": len(basis), "elements": listing}}
 

@@ -5,10 +5,17 @@ Hall set conventions: the letters are ordered X_1 > X_2 > ... > X_d; a
 bracket [c1, c2] is admitted when c1 > c2 and, if c1 = [c3, c4], also
 c2 >= c4.  Elements of lower weight precede higher weight, and brackets of
 equal weight compare lexicographically by (left, right).
+
+The free Lie algebra is graded by letter content, the sorted (letter,
+count) pairs of a word, so the commutators are built content by content:
+those of a content are the admitted brackets of the commutators of its
+splits into two parts.  A listing builds only the contents it asks for and
+their parts, never a whole weight to filter.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from .algebra import Context, Frozen, Poly, check_weights, is_prime
@@ -56,55 +63,57 @@ def _bracket(a: HallElement, b: HallElement) -> HallElement:
     return HallElement(None, a, b, a.weight + b.weight, a.tau_degree + b.tau_degree)
 
 
-def hall_basis(d: int, n: int) -> list[HallElement]:
-    """All Hall commutators of weight n over d generators, sorted."""
-    return hall_layers(d, n)[n]
+def _contents(tau, n: int, first: int = 1) -> list[tuple[tuple[int, int], ...]]:
+    """The letter contents of weighted degree n over the letters first..d."""
+    if n == 0:
+        return [()]
+    return [((x, k),) + rest for x in range(first, len(tau) + 1) for k in range(1, n // tau[x - 1] + 1)
+            for rest in _contents(tau, n - k * tau[x - 1], x + 1)]
 
 
-def hall_layers(d: int, n: int, tau=None) -> list[list[HallElement]]:
-    """Hall commutators of every weight 1..n, indexed by weight.  Only
-    nonempty layers are paired, so for d = 1 every layer past the first is
-    empty at once."""
+def _splits(content):
+    """The splits (a, b) of a content into two nonempty parts with a of at
+    least b's weight: a Hall bracket [c1, c2] needs c1 > c2, and the key
+    compares weights first."""
+    total = sum(k for _, k in content)
+    for counts in itertools.product(*(range(k + 1) for _, k in content)):
+        if total <= 2 * sum(counts) < 2 * total:
+            yield (tuple((x, i) for (x, _), i in zip(content, counts) if i),
+                   tuple((x, k - i) for (x, k), i in zip(content, counts) if k - i))
+
+
+def _hall_of(content, tau, memo: dict) -> list[HallElement]:
+    """The Hall commutators of a letter content, unsorted: a leaf for one
+    letter of count 1, nothing for one letter of a higher count, else the
+    admitted brackets [c1, c2] over the content's splits.  memo holds the
+    contents built so far in one listing."""
+    if content not in memo:
+        if len(content) == 1:
+            [(letter, count)] = content
+            memo[content] = [_leaf(letter, tau)] if count == 1 else []
+        else:
+            memo[content] = [
+                _bracket(c1, c2)
+                for a, b in _splits(content)
+                for c1 in _hall_of(a, tau, memo) for c2 in _hall_of(b, tau, memo)
+                if c1.key > c2.key and (c1.is_leaf or c1.right.key <= c2.key)
+            ]
+    return memo[content]
+
+
+def _weights(d: int, n: int, tau) -> tuple[int, ...]:
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    tau = check_weights(tau) if tau is not None else (1,) * d
-    if len(tau) != d:
-        raise ValueError(f"expected {d} weights, got {len(tau)}")
-    layers: list[list[HallElement]] = [[]]
-    layers.append(sorted((_leaf(i, tau) for i in range(1, d + 1)), key=lambda c: c.key))
-    nonempty = [1]
-    for w in range(2, n + 1):
-        new = []
-        for w1 in nonempty:
-            for c1 in layers[w1]:
-                for c2 in layers[w - w1]:
-                    if c1.key <= c2.key:
-                        continue
-                    if not c1.is_leaf and c1.right.key > c2.key:
-                        continue
-                    new.append(_bracket(c1, c2))
-        new.sort(key=lambda c: c.key)
-        layers.append(new)
-        if new:
-            nonempty.append(w)
-    return layers
+    return (1,) * d if tau is None else check_weights(tau, d)
 
 
-def _hall_up_to(d: int, tdeg: int, tau) -> list[HallElement]:
-    """The Hall commutators that can have weighted degree <= tdeg, in key
-    order: a commutator of weight w has weighted degree >= w * min(tau),
-    so the layers stop at weight tdeg // min(tau).  Each layer is sorted
-    and the key begins with the weight, so the layers run in key order."""
-    if tdeg < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    tau = check_weights(tau)
-    layers = hall_layers(d, max(1, tdeg // min(tau)), tau)
-    return [c for layer in layers for c in layer]
-
-
-def hall_basis_by_tau_degree(d: int, tdeg: int, tau) -> list[HallElement]:
-    """Hall commutators of weighted degree tdeg, sorted."""
-    return [c for c in _hall_up_to(d, tdeg, tau) if c.tau_degree == tdeg]
+def hall_basis(d: int, n: int, tau=None) -> list[HallElement]:
+    """All Hall commutators of weighted degree n over d generators (unit
+    weights by default), sorted."""
+    tau = _weights(d, n, tau)
+    memo: dict = {}
+    return sorted((c for content in _contents(tau, n) for c in _hall_of(content, tau, memo)),
+                  key=lambda c: c.key)
 
 
 class RestrictedBasisElement(Frozen):
@@ -117,9 +126,6 @@ class RestrictedBasisElement(Frozen):
     @property
     def key(self):
         return (self.p_exp, self.base.key)
-
-    def degree(self, p: int) -> int:
-        return self.base.tau_degree * p**self.p_exp
 
     def format(self, names=None, p=None) -> str:
         base = self.base.format(names)
@@ -135,20 +141,12 @@ class RestrictedBasisElement(Frozen):
 
 def restricted_basis(d: int, n: int, p: int, tau=None) -> list[RestrictedBasisElement]:
     """Basis of degree n of the free restricted Lie algebra: all c^(p^j)
-    with (weighted degree of c) * p^j = n."""
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    with (weighted degree of c) * p^j = n, so p^j <= n and j < log2(n) + 1."""
+    tau = _weights(d, n, tau)
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    commutators = _hall_up_to(d, n, tau if tau is not None else (1,) * d)
-    out = []
-    q, j = 1, 0
-    while q <= n:
-        if n % q == 0:
-            out.extend(RestrictedBasisElement(c, j) for c in commutators if c.tau_degree == n // q)
-        q *= p
-        j += 1
-    return out
+    return [RestrictedBasisElement(c, j) for j in range(n.bit_length()) if n % p**j == 0
+            for c in hall_basis(d, n // p**j, tau)]
 
 
 def expand_to_assoc(elem, ctx: Context) -> Poly:
@@ -213,23 +211,22 @@ class PowerCommutatorSplit(Frozen):
         return not self.power_part
 
 
-def _letters(c: HallElement) -> list[int]:
-    return [c.letter] if c.is_leaf else _letters(c.left) + _letters(c.right)
-
-
 def p_power_commutator_split(f: Poly, n: int) -> PowerCommutatorSplit:
     """Split f over the restricted Hall basis of its degree; raises
     NotInRestrictedLieError when f lies outside (nonzero residual).  The
     algebra is graded by letter content: every word of c's expansion has
     c's letters, and every word of c^(p^j)'s has them p^j times each.  So
     only the basis elements with the content of some term of f can have a
-    nonzero coordinate, and only those are expanded."""
+    nonzero coordinate, and only those are built and expanded."""
     if f.is_zero or not f.is_homogeneous() or f.tau_valuation() != n:
         raise ValueError(f"expected a nonzero homogeneous polynomial of degree {n}")
-    ctx = f.ctx
-    contents = {tuple(sorted(m.letters)) for m in f.terms}
-    basis = [e for e in restricted_basis(ctx.d, n, ctx.p, ctx.tau)
-             if tuple(sorted(_letters(e.base) * ctx.p**e.p_exp)) in contents]
+    ctx, memo = f.ctx, {}
+    contents = {tuple((x, m.letters.count(x)) for x in sorted(set(m.letters))) for m in f.terms}
+    # the contents of f divided by p^j: each count is at most n, so j < log2(n) + 1
+    parts = [(j, tuple((x, k // ctx.p**j) for x, k in content)) for content in contents
+             for j in range(n.bit_length()) if all(k % ctx.p**j == 0 for _, k in content)]
+    basis = sorted((RestrictedBasisElement(c, j) for j, part in parts for c in _hall_of(part, ctx.tau, memo)),
+                   key=lambda e: e.key)
     keys: dict = {}
     columns = [{keys.setdefault(m, len(keys)): c for m, c in expand_to_assoc(e, ctx).terms.items()}
                for e in basis]

@@ -427,8 +427,7 @@ class Presentation(Frozen):
             raise ValueError("need at least one generator")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator names")
-        if len(check_weights(self.tau)) != len(self.names):
-            raise ValueError(f"expected {len(self.names)} weights, got {len(self.tau)}")
+        check_weights(self.tau, len(self.names))
         seen = set()
         for name, _ in self.relators:
             if name in seen:
@@ -450,7 +449,7 @@ class Presentation(Frozen):
         return len(self.relators)
 
     def context(self, tau=None) -> Context:
-        return Context(self.p, self.d, self.tau if tau is None else check_weights(tau))
+        return Context(self.p, self.d, self.tau if tau is None else tau)
 
     def leading_expansions(self, cutoff: int) -> list:
         """The relators' unweighted expansions as leading_expansions reads them."""
@@ -489,6 +488,14 @@ def make_presentation(p, names, relator_texts, tau=None) -> Presentation:
 
 def split_list(value: str) -> list[str]:
     return [t for t in value.replace(",", " ").split() if t]
+
+
+def generator_index(token: str, names, where: str) -> int:
+    """The 1-based index of a generator name; a ParseError naming the token
+    and where it was given when no generator has that name."""
+    if token not in names:
+        raise ParseError(f"unknown generator {token!r} in {where}")
+    return names.index(token) + 1
 
 
 def int_list(value: str, what: str, line=None) -> tuple[int, ...]:

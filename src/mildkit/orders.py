@@ -18,6 +18,7 @@ import random
 
 from .algebra import Monomial, check_weights
 from .errors import ParseError
+from .magnus import generator_index
 
 LT, EQ, GT = -1, 0, 1
 
@@ -155,13 +156,9 @@ def parse_order_spec(spec: str, names, tau) -> MonomialOrder:
     "u-order:U=x1,x2;x1<x2<x3".  Generator references use the
     presentation's names.
     """
-    index = {name: i + 1 for i, name in enumerate(names)}
 
     def lookup(token):
-        token = token.strip()
-        if token not in index:
-            raise ParseError(f"unknown generator {token!r} in order spec")
-        return index[token]
+        return generator_index(token.strip(), names, "order spec")
 
     def parse_perm(text):
         letters = tuple(lookup(t) for t in text.split("<"))

@@ -863,6 +863,20 @@ def test_one_relator_splits_each_form_once_over_its_contents(monkeypatch):
     ]
 
 
+def test_one_relator_splits_a_weighted_form_of_valuation_18_at_once():
+    # at weights (3, 3, 1, 3) the initial form has valuation 18, and every
+    # Hall commutator over four letters to weight 18 numbers about 5·10^9;
+    # the commutators of the form's own letter contents are a few
+    for p in (2, 3):
+        P = pres(p, 4, ["[[[x4, x2]^-1, x4^-1]^-1, [x2^-1, [x2^-1, x1]^-1]^-1]"])
+        start = time.perf_counter()
+        report = one_relator_verdict(P, extra_taus=[(3, 3, 1, 3)])
+        assert time.perf_counter() - start < 1
+        weighted = report.memberships[1]
+        assert (weighted.tau, weighted.valuation, weighted.is_lie) == ((3, 3, 1, 3), 18, True)
+        assert report.status == MILD
+
+
 def test_demuskin_command_reads_one_tensor(expand_calls, capsys):
     # the type report and the mildness verdict share one probe, whose first
     # key the minimality check computed while loading the presentation
