@@ -25,6 +25,7 @@ from .orders import UOrder, high_term
 MILD = "mild"
 CRITERION_FAILED = "criterion-failed"
 NOT_APPLICABLE = "not-applicable"
+_SEARCH_BUDGET = 4096  # the most decompositions search_mild tries
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +253,30 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
 
     Condition (a): every tensor entry with at least n-e+1 indices in V
     vanishes.  Condition (b): the block over U^e x V^(n-e) multi-indices
-    has full rank m.  The certificate row-reduces that block (columns in
-    decreasing subset order), recovers the high terms of the reduced
-    relator forms, and re-checks combinatorial freeness via the high-term
-    criterion; the mild verdict is issued only if that check proves out.
+    has full rank m.  The block's columns are the tensor's entries over
+    U^e x V^(n-e), so a decision costs what the tensor holds.  The
+    certificate row-reduces that block (columns in decreasing subset
+    order), recovers the high terms of the reduced relator forms, and
+    re-checks combinatorial freeness via the high-term criterion; the mild
+    verdict is issued only if that check proves out.
     """
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
-    return _decide(massey_tensor(P, cutoff=cutoff), D)
+    T = massey_tensor(P, cutoff=cutoff)
+    if not 1 <= D.c < T.d:
+        raise ValueError(f"need 1 <= c < d = {T.d}, got c = {D.c}")
+    if not 1 <= D.e <= T.n - 1:
+        raise ValueError(f"need 1 <= e <= n - 1 = {T.n - 1}, got e = {D.e}")
+    if D.matrix is not None and not is_invertible(T.p, D.matrix):
+        raise ValueError("basis-change matrix is not invertible")
+    return _decide(T if D.matrix is None else T.transformed(D.matrix), D)
 
 
 def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
-    """The criterion of check_mild on the tensor at n = z(G)."""
+    """The criterion of check_mild on the tensor at n = z(G), already
+    written in D's letters: U is spanned by the first D.c of them."""
     n, d, p = T.n, T.d, T.p
     c, e = D.c, D.e
-    if not 1 <= c < d:
-        raise ValueError(f"need 1 <= c < d = {d}, got c = {c}")
-    if not 1 <= e <= n - 1:
-        raise ValueError(f"need 1 <= e <= n - 1 = {n - 1}, got e = {e}")
-    if D.matrix is not None:
-        if not is_invertible(p, D.matrix):
-            raise ValueError("basis-change matrix is not invertible")
-        T = T.transformed(D.matrix)
 
     # (a) vanishing on tuples with >= n - e + 1 entries in V
     for j, vals in enumerate(T.values):
@@ -288,17 +291,12 @@ def _decide(T: MasseyTensor, D: Decomposition) -> MildVerdict:
     # (b) and the certificate: row-reduce the block over U^e x V^(n-e),
     # columns in decreasing subset order, with relator j tracked in column
     # width + j.  The block has rank m iff m pivots land on block columns;
-    # those pivots are the high terms of the reduced relator forms.
+    # those pivots are the high terms of the reduced relator forms.  Only
+    # the tensor's keys can be nonzero columns, and a zero column never
+    # pivots, so the block holds those keys alone.
     order = UOrder(frozenset(range(1, c + 1)), (1,) * d)
-    block = sorted(
-        (
-            Monomial(u + v, n)
-            for u in itertools.product(range(1, c + 1), repeat=e)
-            for v in itertools.product(range(c + 1, d + 1), repeat=n - e)
-        ),
-        key=order.key,
-        reverse=True,
-    )
+    block = {Monomial(i, n) for vals in T.values for i in vals if max(i[:e]) <= c < min(i[e:])}
+    block = sorted(block, key=order.key, reverse=True)
     width = len(block)
     col = {m.letters: k for k, m in enumerate(block)}
     reducer = RowReducer(p)
@@ -357,35 +355,30 @@ def subset_decomposition(d: int, subset, e: int) -> Decomposition:
     return Decomposition(len(subset), e, matrix)
 
 
-def search_mild(P: Presentation, cutoff: int = 8, max_cases: int = 4096) -> MildVerdict:
+def search_mild(P: Presentation, cutoff: int = 8) -> MildVerdict:
     """Try the criterion over all coordinate-subset decompositions and
     every admissible e; first success wins.  The subset space is
-    2^d-sized, so a case budget applies to its closed-form count before any
-    case is built."""
+    2^d-sized, so a budget of 4,096 cases applies to its closed-form count
+    before any case is built.  The tensor is written in each subset's
+    letters once, for all e."""
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
     T = massey_tensor(P, cutoff=cutoff)
     n, d = T.n, P.d
     if n < 2 or d < 2:
-        return MildVerdict(
-            CRITERION_FAILED,
-            f"no decomposition exists for d = {d}, n = {n}",
-        )
+        return MildVerdict(CRITERION_FAILED, f"no decomposition exists for d = {d}, n = {n}")
     count = (2**d - 2) * (n - 1)
-    if count > max_cases:
-        raise BudgetError(
-            f"{count} decompositions exceed the search budget {max_cases}"
-        )
+    if count > _SEARCH_BUDGET:
+        raise BudgetError(f"{count} decompositions exceed the search budget {_SEARCH_BUDGET}")
     for c in range(1, d):
         for s in itertools.combinations(range(1, d + 1), c):
+            D = subset_decomposition(d, s, 1)
+            Ts = T if D.matrix is None else T.transformed(D.matrix)
             for e in range(1, n):
-                verdict = _decide(T, subset_decomposition(d, s, e))
+                verdict = _decide(Ts, D.replace(e=e))
                 if verdict.is_mild:
                     return verdict.replace(reason=f"found by search: U = span{s}, e = {e}")
-    return MildVerdict(
-        CRITERION_FAILED,
-        f"criterion failed for all {count} searched decompositions",
-    )
+    return MildVerdict(CRITERION_FAILED, f"criterion failed for all {count} searched decompositions")
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +579,8 @@ def demuskin(
     pivot = next(i for i, v in enumerate(chi) if v)
     rows = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d) if i != pivot]
     rows.append(chi)
-    verdict = _decide(T, Decomposition(d - 1, 1, tuple(rows)))
+    D = Decomposition(d - 1, 1, tuple(rows))
+    verdict = _decide(T.transformed(D.matrix), D)
     if verdict.is_mild:
         reason = f"Demuškin-type construction with chi = {list(chi)} spanning V"
         verdict = verdict.replace(reason=reason)

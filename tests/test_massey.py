@@ -6,12 +6,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, note, settings
+from hypothesis import HealthCheck, assume, example, given, note, settings
 
 from conftest import SEEDS, Seeded, count_expansions, load_worker
 from mildkit.cli import DEFAULT_BUDGET, main as cli_main
 from mildkit.errors import BudgetError, PrecisionError
-from mildkit.algebra import Context
+from mildkit.algebra import Context, Monomial, Poly
 from mildkit.freeness import (
     ADMISSIBLE, INADMISSIBLE, PROVEN, CONSISTENT, REFUTED, AdmissibilityResult, FreenessCertificate,
     FreenessVerdict, anick_check, strongly_free_oracle,
@@ -46,7 +46,8 @@ from mildkit.massey import (
     subset_decomposition,
     zassenhaus_invariant,
 )
-from mildkit.orders import UOrder
+from mildkit.linalg import RowReducer
+from mildkit.orders import UOrder, high_term
 from reference_magnus import reference_expand
 
 PRES = Path(__file__).resolve().parent.parent / "presentations"
@@ -600,11 +601,6 @@ def test_search_mild_free():
     assert search_mild(pres(3, 2, [])).status == NOT_APPLICABLE
 
 
-def test_search_mild_budget():
-    with pytest.raises(BudgetError):
-        search_mild(CIRCUIT, max_cases=3)
-
-
 def test_search_mild_counts_its_cases_before_building_them():
     # (2^40 - 2)(n - 1) coordinate subsets: refused before any is built
     names = [f"x{i}" for i in range(1, 41)]
@@ -613,6 +609,40 @@ def test_search_mild_counts_its_cases_before_building_them():
     with pytest.raises(BudgetError, match=f"^{2**40 - 2} decompositions exceed the search budget 4096$"):
         search_mild(P)
     assert time.perf_counter() - started < 1.0
+
+
+# two relators of valuation 8 over six letters: 256 tensor terms, and a
+# block over U^e x V^(8-e) of up to 5^7 = 78,125 multi-indices
+SIX = make_presentation(3, [f"x{i}" for i in range(1, 7)], [
+    ("r", "[[[x1, x2], [x3, x4]], [[x1, x3], [x2, x4]]]"),
+    ("s", "[[[x5, x6], [x3, x4]], [[x5, x3], [x6, x4]]]"),
+])
+
+
+def test_search_reads_each_block_off_the_tensor(monkeypatch):
+    # every decision sorts at most the tensor's keys under the subset order,
+    # never the whole U^e x V^(n-e)
+    terms = sum(len(vals) for vals in massey_tensor(SIX).values)
+    keys, per_decision = [0], []
+    key, decide = UOrder.key, massey._decide
+
+    def counted_key(order, m):
+        keys[0] += 1
+        return key(order, m)
+
+    def counted_decide(T, D):
+        before = keys[0]
+        verdict = decide(T, D)
+        per_decision.append(keys[0] - before)
+        return verdict
+
+    monkeypatch.setattr(UOrder, "key", counted_key)
+    monkeypatch.setattr(massey, "_decide", counted_decide)
+    verdict = search_mild(SIX)
+    assert verdict.status == CRITERION_FAILED
+    assert verdict.reason == "criterion failed for all 434 searched decompositions"
+    assert terms == 256 and len(per_decision) == 434
+    assert max(per_decision) <= terms
 
 
 def test_precision_error_when_z_unknown():
@@ -914,6 +944,106 @@ def test_search_certificate_matches_direct_check(seed):
         direct = check_mild(P, verdict.certificate.decomposition)
         assert direct.is_mild
         assert direct.certificate.as_dict(P.names) == verdict.certificate.as_dict(P.names)
+
+
+def dense_decide(P, D):
+    """check_mild's verdict with the block over every multi-index of
+    U^e x V^(n-e), the columns the tensor holds no entry on included."""
+    T = massey_tensor(P)
+    if D.matrix is not None:
+        T = T.transformed(D.matrix)
+    n, d, p, c, e = T.n, T.d, T.p, D.c, D.e
+    for name, vals in zip(T.relator_names, T.values):
+        for index in vals:
+            if sum(i > c for i in index) >= n - e + 1:
+                return MildVerdict(CRITERION_FAILED, f"condition (a) fails: relator {name} has a nonzero "
+                                   f"product on tuple {index} with >= {n - e + 1} entries in V")
+    order = UOrder(frozenset(range(1, c + 1)), (1,) * d)
+    block = sorted((Monomial(u + v, n) for u in itertools.product(range(1, c + 1), repeat=e)
+                    for v in itertools.product(range(c + 1, d + 1), repeat=n - e)), key=order.key, reverse=True)
+    col = {m.letters: k for k, m in enumerate(block)}
+    reducer = RowReducer(p)
+    for j, vals in enumerate(T.values):
+        reducer.add({**{col[i]: v for i, v in vals.items() if i in col}, len(block) + j: 1})
+    leads = sorted(lead for lead in reducer.pivots if lead < len(block))
+    if len(leads) < T.m:
+        return MildVerdict(CRITERION_FAILED, "condition (b) fails: the block over U^e x V^(n-e) has rank "
+                           "< m (relators dependent or too deep)")
+    ctx = Context(p, d)
+    full = [Poly(ctx, {Monomial(i, n): v for i, v in vals.items()}) for vals in T.values]
+    forms = []
+    for lead in leads:
+        poly = ctx.zero()
+        for k, t in reducer.pivots[lead].items():
+            if k >= len(block):
+                poly = poly + full[k - len(block)].scale(t)
+        forms.append(poly)
+    anick = anick_check(forms, order)
+    cert = MildCertificate(n, order.describe(), D, tuple(forms), tuple(high_term(order, f) for f in forms), anick,
+                           "forms are the row-reduced degree-n relator coefficients in the transformed letters")
+    if not anick.proven:
+        return MildVerdict(CRITERION_FAILED, "certificate rebuild failed: high terms not combinatorially free",
+                           certificate=cert)
+    return MildVerdict(MILD, certificate=cert)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS)
+@example(87).via("z = 7 over four letters")
+@example(530).via("z = 8")
+@example(806).via("z = 7, two relators")
+@example(46).via("found at U = span(2,), e = 2")
+def test_check_mild_equals_a_dense_block(seed):
+    # the block keeps only the tensor's keys over U^e x V^(n-e); the one over
+    # every such multi-index must give the same status, reason and
+    # certificate.  The search, which writes the tensor in each subset's
+    # letters once for all e, returns the first of these verdicts that is mild.
+    P = Seeded(seed).presentation()
+    note(P.to_text())
+    n = zassenhaus_invariant(P, 8)
+    assume(n is not None and n >= 2)
+    found = []
+    for c in range(1, P.d):
+        for s in itertools.combinations(range(1, P.d + 1), c):
+            for e in range(1, n):
+                D = subset_decomposition(P.d, s, e)
+                verdict = check_mild(P, D)
+                assert verdict == dense_decide(P, D), D
+                if verdict.is_mild:
+                    found.append(verdict.replace(reason=f"found by search: U = span{s}, e = {e}"))
+    searched = search_mild(P)
+    if found:
+        assert searched == found[0]
+    else:
+        assert searched.reason == f"criterion failed for all {(2**P.d - 2) * (n - 1)} searched decompositions"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS)
+@example(87).via("z = 7 over four letters")
+@example(530).via("z = 8")
+@example(806).via("z = 7, two relators")
+def test_transformed_is_the_tensor_of_the_rewritten_relators(seed):
+    # at n = z the degree-n part of a relator in new letters is the old one
+    # under the linear part of the substitution: a permutation matrix for
+    # x_a -> x_perm(a), and -1 on the diagonal for x_i -> x_i^-1
+    rng = Seeded(seed)
+    P = rng.presentation()
+    perm, i = rng.sample(range(1, P.d + 1), P.d), rng.randint(1, P.d)
+    note(f"{P.to_text()}permutation {perm}, inverting x{i}")
+    n = zassenhaus_invariant(P, 8)
+    assume(n is not None and n >= 4)
+    T, letters = massey_tensor(P), range(1, P.d + 1)
+    permuted = tuple(tuple(int(a == b) for b in perm) for a in letters)
+    inverted = tuple(tuple(-1 if a == b == i else int(a == b) for b in letters) for a in letters)
+    for images, M in [
+        ([GroupWord((Gen(a),)) for a in perm], permuted),
+        ([GroupWord((Gen(a, -1 if a == i else 1),)) for a in letters], inverted),
+    ]:
+        rewritten = _rewritten(P, lambda w: substitute(w, images))
+        assert massey_tensor(rewritten).as_dict() == T.transformed(M).as_dict()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
