@@ -72,7 +72,7 @@ class MasseyTensor(Frozen):
         """Tensor after the change of dual basis chi'_i = sum_a Q[i][a] chi_a;
         equals the coefficient tensor of the relators in the new letters."""
         vals = tuple(
-            _transform_values(v, matrix, self.p, self.d, self.n) for v in self.values
+            _transform_values(v, matrix, self.p, self.n) for v in self.values
         )
         return MasseyTensor(self.p, self.d, self.n, self.relator_names, vals)
 
@@ -86,16 +86,14 @@ class MasseyTensor(Frozen):
         }
 
 
-def _transform_values(values, matrix, p, d, n):
+def _transform_values(values, matrix, p, n):
+    # old letter a -> the nonzero entries (i, Q[i][a]) of its column, i increasing
+    columns = [[(i, q) for i, x in enumerate(col, 1) if (q := x % p)] for col in zip(*matrix)]
     cur = values
     for slot in range(n):
         nxt: dict = {}
         for index, c in cur.items():
-            a = index[slot]
-            for i in range(1, d + 1):
-                q = matrix[i - 1][a - 1] % p
-                if not q:
-                    continue
+            for i, q in columns[index[slot] - 1]:
                 key = index[:slot] + (i,) + index[slot + 1 :]
                 v = (nxt.get(key, 0) + q * c) % p
                 if v:
@@ -267,6 +265,8 @@ def check_mild(P: Presentation, D: Decomposition, cutoff: int = 8) -> MildVerdic
         raise ValueError(f"need 1 <= c < d = {T.d}, got c = {D.c}")
     if not 1 <= D.e <= T.n - 1:
         raise ValueError(f"need 1 <= e <= n - 1 = {T.n - 1}, got e = {D.e}")
+    if D.matrix is not None and len(D.matrix) != T.d:
+        raise ValueError(f"basis-change matrix has {len(D.matrix)} rows, need d = {T.d}")
     if D.matrix is not None and not is_invertible(T.p, D.matrix):
         raise ValueError("basis-change matrix is not invertible")
     return _decide(T if D.matrix is None else T.transformed(D.matrix), D)
@@ -356,11 +356,11 @@ def subset_decomposition(d: int, subset, e: int) -> Decomposition:
 
 
 def search_mild(P: Presentation, cutoff: int = 8) -> MildVerdict:
-    """Try the criterion over all coordinate-subset decompositions and
-    every admissible e; first success wins.  The subset space is
-    2^d-sized, so a budget of 4,096 cases applies to its closed-form count
-    before any case is built.  The tensor is written in each subset's
-    letters once, for all e."""
+    """Try the criterion over all coordinate-subset decompositions; first
+    success wins.  The 2^d-sized subset space meets a budget of 4,096 cases
+    by its closed-form count before any case is built.  Each subset is
+    decided once, at e = n - k for k the most letters outside it in any key:
+    condition (b) needs a key with n - e of them and (a) forbids more."""
     if P.m == 0:
         return MildVerdict(NOT_APPLICABLE, "free presentation: cd <= 1, nothing to check")
     T = massey_tensor(P, cutoff=cutoff)
@@ -372,10 +372,10 @@ def search_mild(P: Presentation, cutoff: int = 8) -> MildVerdict:
         raise BudgetError(f"{count} decompositions exceed the search budget {_SEARCH_BUDGET}")
     for c in range(1, d):
         for s in itertools.combinations(range(1, d + 1), c):
-            D = subset_decomposition(d, s, 1)
-            Ts = T if D.matrix is None else T.transformed(D.matrix)
-            for e in range(1, n):
-                verdict = _decide(Ts, D.replace(e=e))
+            e = n - max(sum(i not in s for i in index) for vals in T.values for index in vals)
+            if 1 <= e < n:
+                D = subset_decomposition(d, s, e)
+                verdict = _decide(T if D.matrix is None else T.transformed(D.matrix), D)
                 if verdict.is_mild:
                     return verdict.replace(reason=f"found by search: U = span{s}, e = {e}")
     return MildVerdict(CRITERION_FAILED, f"criterion failed for all {count} searched decompositions")

@@ -46,7 +46,7 @@ from mildkit.massey import (
     subset_decomposition,
     zassenhaus_invariant,
 )
-from mildkit.linalg import RowReducer
+from mildkit.linalg import RowReducer, is_invertible
 from mildkit.orders import UOrder, high_term
 from reference_magnus import reference_expand
 
@@ -457,6 +457,15 @@ def test_check_mild_validates_decomposition():
         check_mild(DEMUSKIN_P3, Decomposition(2, 1, singular))
 
 
+def test_check_mild_refuses_a_basis_change_of_the_wrong_size():
+    # d = 3: a 2 x 2 identity would index past its rows, and a 4 x 4 one
+    # would be read off its leading 3 x 3 block; both are invertible
+    for size in (2, 4):
+        identity = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+        with pytest.raises(ValueError, match=f"^basis-change matrix has {size} rows, need d = 3$"):
+            check_mild(DEMUSKIN_P3, Decomposition(2, 1, identity))
+
+
 def test_check_mild_certificate_is_oracle_consistent():
     # the certificate's reduced forms must stay consistent with the series
     # oracle and prove out under the high-term criterion
@@ -641,7 +650,7 @@ def test_search_reads_each_block_off_the_tensor(monkeypatch):
     verdict = search_mild(SIX)
     assert verdict.status == CRITERION_FAILED
     assert verdict.reason == "criterion failed for all 434 searched decompositions"
-    assert terms == 256 and len(per_decision) == 434
+    assert terms == 256 and len(per_decision) == 56
     assert max(per_decision) <= terms
 
 
@@ -997,8 +1006,9 @@ def dense_decide(P, D):
 def test_check_mild_equals_a_dense_block(seed):
     # the block keeps only the tensor's keys over U^e x V^(n-e); the one over
     # every such multi-index must give the same status, reason and
-    # certificate.  The search, which writes the tensor in each subset's
-    # letters once for all e, returns the first of these verdicts that is mild.
+    # certificate.  The search, which decides each subset once, at the one e
+    # that conditions (a) and (b) admit, returns the first of these verdicts
+    # that is mild.
     P = Seeded(seed).presentation()
     note(P.to_text())
     n = zassenhaus_invariant(P, 8)
@@ -1044,6 +1054,29 @@ def test_transformed_is_the_tensor_of_the_rewritten_relators(seed):
     ]:
         rewritten = _rewritten(P, lambda w: substitute(w, images))
         assert massey_tensor(rewritten).as_dict() == T.transformed(M).as_dict()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS)
+def test_transformed_contracts_with_the_rows_of_a_general_basis_change(seed):
+    # chi'_i = sum_a Q[i][a] chi_a, so on every index tuple I the new tensor
+    # holds the product on the rows of Q that I names.  Q is invertible with
+    # zero entries and any number of nonzero ones per column, where a
+    # permutation or a sign change has exactly one
+    rng = Seeded(seed)
+    P = rng.presentation()
+    n = zassenhaus_invariant(P, 8)
+    assume(n is not None and P.d**n <= 256)
+    p, d, T = P.p, P.d, massey_tensor(P)
+    Q = None
+    while Q is None or not is_invertible(p, Q) or all(all(row) for row in Q):
+        Q = tuple(tuple(rng.choice((0, rng.randint(1, p - 1))) for _ in range(d)) for _ in range(d))
+    note(f"{P.to_text()}Q = {Q}")
+    transformed = T.transformed(Q)
+    for I in itertools.product(range(1, d + 1), repeat=n):
+        values = massey_value(T, [Q[i - 1] for i in I])
+        assert [transformed.value(j, I) * T.sign % p for j in range(T.m)] == values, I
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
